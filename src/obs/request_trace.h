@@ -31,7 +31,7 @@ namespace gea::obs {
 /// them. When no scope is active the cost is one thread-local test.
 
 /// The serve-path stages, in request order. Indexes StageNanos and fixes
-/// the wire order of the protocol-v2 stage breakdown.
+/// the wire order of the response timing block.
 enum class RequestStage : int {
   kDecode = 0,   // frame bytes -> Request struct (reader thread)
   kQueue = 1,    // admission-queue wait (enqueue -> worker pickup)

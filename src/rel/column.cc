@@ -223,12 +223,6 @@ void Column::MarkNull(size_t row) {
   ++null_count_;
 }
 
-void Column::RebuildDictIndex() {
-  dict_index_.clear();
-  dict_index_.reserve(dict_.size());
-  for (uint32_t i = 0; i < dict_.size(); ++i) dict_index_.emplace(dict_[i], i);
-}
-
 Column Column::FromRawInts(std::vector<int64_t> vals,
                            std::vector<uint64_t> nulls, size_t n) {
   Column c(ValueType::kInt);
@@ -253,17 +247,23 @@ Column Column::FromRawDoubles(std::vector<double> vals,
   return c;
 }
 
-Column Column::FromRawStrings(std::vector<std::string> dict,
-                              std::vector<uint32_t> codes,
-                              std::vector<uint64_t> nulls, size_t n) {
+Result<Column> Column::FromRawStrings(std::vector<std::string> dict,
+                                      std::vector<uint32_t> codes,
+                                      std::vector<uint64_t> nulls, size_t n) {
   Column c(ValueType::kString);
   c.dict_ = std::move(dict);
+  c.dict_index_.reserve(c.dict_.size());
+  for (uint32_t i = 0; i < c.dict_.size(); ++i) {
+    if (!c.dict_index_.emplace(c.dict_[i], i).second) {
+      return Status::InvalidArgument("dictionary repeats an entry: " +
+                                     c.dict_[i]);
+    }
+  }
   c.codes_ = std::move(codes);
   c.null_words_ = std::move(nulls);
   c.size_ = n;
   c.null_count_ = 0;
   for (uint64_t w : c.null_words_) c.null_count_ += __builtin_popcountll(w);
-  c.RebuildDictIndex();
   if (obs::MemoryAccountingActive()) obs::AccountAllocation(c.PayloadBytes());
   return c;
 }

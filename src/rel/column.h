@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/result.h"
 #include "obs/resource.h"
 #include "rel/value.h"
 
@@ -101,14 +102,16 @@ class Column {
 
   /// Bulk constructors for the binary codec: adopt decoded vectors directly.
   /// `nulls` is the packed bitmap sized NullWordsFor(n); payloads must be
-  /// zero-filled on null slots (re-encode depends on it).
+  /// zero-filled on null slots (re-encode depends on it). A dictionary
+  /// that repeats an entry fails InvalidArgument: interning keeps entries
+  /// distinct, and equal cells must share one code.
   static Column FromRawInts(std::vector<int64_t> vals,
                             std::vector<uint64_t> nulls, size_t n);
   static Column FromRawDoubles(std::vector<double> vals,
                                std::vector<uint64_t> nulls, size_t n);
-  static Column FromRawStrings(std::vector<std::string> dict,
-                               std::vector<uint32_t> codes,
-                               std::vector<uint64_t> nulls, size_t n);
+  static Result<Column> FromRawStrings(std::vector<std::string> dict,
+                                       std::vector<uint32_t> codes,
+                                       std::vector<uint64_t> nulls, size_t n);
   static Column FromRawNulls(size_t n);
 
  private:
@@ -119,7 +122,6 @@ class Column {
       obs::AccountAllocation(sizeof(uint64_t));
     }
   }
-  void RebuildDictIndex();
 
   ValueType type_;
   size_t size_ = 0;

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <iterator>
 #include <utility>
 
 #include "common/crc32.h"
@@ -25,30 +26,29 @@ Response ErrorResponse(uint64_t request_id, const Status& status) {
 
 namespace {
 
-bool SupportedVersion(uint8_t version) {
-  return version >= kMinProtocolVersion && version <= kProtocolVersion;
-}
+// The fixed-width timing block's u64 slots, in wire order: the
+// RequestStage nanos, then the memory-accounting pair.
+constexpr uint64_t StageBreakdown::*kTimingSlots[] = {
+    &StageBreakdown::decode_nanos,    &StageBreakdown::queue_nanos,
+    &StageBreakdown::execute_nanos,   &StageBreakdown::wal_append_nanos,
+    &StageBreakdown::wal_fsync_nanos, &StageBreakdown::encode_nanos,
+    &StageBreakdown::write_nanos,     &StageBreakdown::lock_wait_nanos,
+    &StageBreakdown::alloc_bytes,     &StageBreakdown::peak_bytes};
+constexpr size_t kTimingBytes = std::size(kTimingSlots) * 8;
 
-/// The fixed-width timing block, in RequestStage order. v3 appends the
-/// lock-wait stage and the memory-accounting pair.
-void PutStageBreakdown(std::string* out, const StageBreakdown& timing,
-                       uint8_t version) {
-  store::PutU64(out, timing.decode_nanos);
-  store::PutU64(out, timing.queue_nanos);
-  store::PutU64(out, timing.execute_nanos);
-  store::PutU64(out, timing.wal_append_nanos);
-  store::PutU64(out, timing.wal_fsync_nanos);
-  store::PutU64(out, timing.encode_nanos);
-  store::PutU64(out, timing.write_nanos);
-  if (version >= 3) {
-    store::PutU64(out, timing.lock_wait_nanos);
-    store::PutU64(out, timing.alloc_bytes);
-    store::PutU64(out, timing.peak_bytes);
+void PutStageBreakdown(std::string* out, const StageBreakdown& timing) {
+  for (uint64_t StageBreakdown::*slot : kTimingSlots) {
+    store::PutU64(out, timing.*slot);
   }
 }
 
-constexpr size_t TimingBlockBytes(uint8_t version) {
-  return (version >= 3 ? kStageBreakdownSlotsV3 : kStageBreakdownSlots) * 8;
+Status CheckVersion(store::ByteReader& reader) {
+  GEA_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8());
+  if (version != kProtocolVersion) {
+    return Status::InvalidArgument("unsupported protocol version " +
+                                   std::to_string(version));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -76,13 +76,8 @@ std::string EncodeRequest(const Request& request) {
 
 Result<Request> DecodeRequest(std::string_view payload) {
   store::ByteReader reader(payload);
-  GEA_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8());
-  if (!SupportedVersion(version)) {
-    return Status::InvalidArgument("unsupported protocol version " +
-                                   std::to_string(version));
-  }
+  GEA_RETURN_IF_ERROR(CheckVersion(reader));
   Request request;
-  request.wire_version = version;
   GEA_ASSIGN_OR_RETURN(request.request_id, reader.ReadU64());
   GEA_ASSIGN_OR_RETURN(request.deadline_ms, reader.ReadU32());
   GEA_ASSIGN_OR_RETURN(request.op, reader.ReadString());
@@ -92,20 +87,18 @@ Result<Request> DecodeRequest(std::string_view payload) {
     GEA_ASSIGN_OR_RETURN(std::string value, reader.ReadString());
     request.params[std::move(key)] = std::move(value);
   }
-  if (version >= 2) {
-    GEA_ASSIGN_OR_RETURN(uint8_t has_trace, reader.ReadU8());
-    if (has_trace == 1) {
-      TraceContext trace;
-      GEA_ASSIGN_OR_RETURN(trace.trace_id, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(uint8_t sampled, reader.ReadU8());
-      if (sampled > 1) {
-        return Status::InvalidArgument("bad sampled flag in trace context");
-      }
-      trace.sampled = sampled == 1;
-      request.trace = trace;
-    } else if (has_trace != 0) {
-      return Status::InvalidArgument("bad has_trace flag in request");
+  GEA_ASSIGN_OR_RETURN(uint8_t has_trace, reader.ReadU8());
+  if (has_trace == 1) {
+    TraceContext trace;
+    GEA_ASSIGN_OR_RETURN(trace.trace_id, reader.ReadU64());
+    GEA_ASSIGN_OR_RETURN(uint8_t sampled, reader.ReadU8());
+    if (sampled > 1) {
+      return Status::InvalidArgument("bad sampled flag in trace context");
     }
+    trace.sampled = sampled == 1;
+    request.trace = trace;
+  } else if (has_trace != 0) {
+    return Status::InvalidArgument("bad has_trace flag in request");
   }
   if (!reader.Done()) {
     return Status::InvalidArgument("trailing bytes after request payload");
@@ -115,7 +108,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
 
 std::string EncodeResponse(const Response& response) {
   std::string out;
-  store::PutU8(&out, response.wire_version);
+  store::PutU8(&out, kProtocolVersion);
   store::PutU64(&out, response.request_id);
   store::PutU8(&out, static_cast<uint8_t>(response.code));
   store::PutString(&out, response.message);
@@ -126,27 +119,20 @@ std::string EncodeResponse(const Response& response) {
   } else {
     store::PutU8(&out, 0);
   }
-  if (response.wire_version >= 2) {
-    store::PutU64(&out, response.trace_id);
-    if (response.timing.has_value()) {
-      store::PutU8(&out, 1);
-      PutStageBreakdown(&out, *response.timing, response.wire_version);
-    } else {
-      store::PutU8(&out, 0);
-    }
+  store::PutU64(&out, response.trace_id);
+  if (response.timing.has_value()) {
+    store::PutU8(&out, 1);
+    PutStageBreakdown(&out, *response.timing);
+  } else {
+    store::PutU8(&out, 0);
   }
   return out;
 }
 
 Result<Response> DecodeResponse(std::string_view payload) {
   store::ByteReader reader(payload);
-  GEA_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8());
-  if (!SupportedVersion(version)) {
-    return Status::InvalidArgument("unsupported protocol version " +
-                                   std::to_string(version));
-  }
+  GEA_RETURN_IF_ERROR(CheckVersion(reader));
   Response response;
-  response.wire_version = version;
   GEA_ASSIGN_OR_RETURN(response.request_id, reader.ReadU64());
   GEA_ASSIGN_OR_RETURN(uint8_t code, reader.ReadU8());
   GEA_ASSIGN_OR_RETURN(response.code, StatusCodeFromWire(code));
@@ -154,33 +140,24 @@ Result<Response> DecodeResponse(std::string_view payload) {
   GEA_ASSIGN_OR_RETURN(response.text, reader.ReadString());
   GEA_ASSIGN_OR_RETURN(uint8_t has_table, reader.ReadU8());
   if (has_table == 1) {
-    GEA_ASSIGN_OR_RETURN(std::string encoded, reader.ReadString());
+    GEA_ASSIGN_OR_RETURN(uint32_t table_bytes, reader.ReadU32());
+    GEA_ASSIGN_OR_RETURN(std::string_view encoded,
+                         reader.ReadBytes(table_bytes));
     GEA_ASSIGN_OR_RETURN(rel::Table table, store::DecodeTable(encoded));
     response.table = std::move(table);
   } else if (has_table != 0) {
     return Status::InvalidArgument("bad has_table flag in response");
   }
-  if (version >= 2) {
-    GEA_ASSIGN_OR_RETURN(response.trace_id, reader.ReadU64());
-    GEA_ASSIGN_OR_RETURN(uint8_t has_timing, reader.ReadU8());
-    if (has_timing == 1) {
-      StageBreakdown timing;
-      GEA_ASSIGN_OR_RETURN(timing.decode_nanos, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(timing.queue_nanos, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(timing.execute_nanos, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(timing.wal_append_nanos, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(timing.wal_fsync_nanos, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(timing.encode_nanos, reader.ReadU64());
-      GEA_ASSIGN_OR_RETURN(timing.write_nanos, reader.ReadU64());
-      if (version >= 3) {
-        GEA_ASSIGN_OR_RETURN(timing.lock_wait_nanos, reader.ReadU64());
-        GEA_ASSIGN_OR_RETURN(timing.alloc_bytes, reader.ReadU64());
-        GEA_ASSIGN_OR_RETURN(timing.peak_bytes, reader.ReadU64());
-      }
-      response.timing = timing;
-    } else if (has_timing != 0) {
-      return Status::InvalidArgument("bad has_timing flag in response");
+  GEA_ASSIGN_OR_RETURN(response.trace_id, reader.ReadU64());
+  GEA_ASSIGN_OR_RETURN(uint8_t has_timing, reader.ReadU8());
+  if (has_timing == 1) {
+    StageBreakdown timing;
+    for (uint64_t StageBreakdown::*slot : kTimingSlots) {
+      GEA_ASSIGN_OR_RETURN(timing.*slot, reader.ReadU64());
     }
+    response.timing = timing;
+  } else if (has_timing != 0) {
+    return Status::InvalidArgument("bad has_timing flag in response");
   }
   if (!reader.Done()) {
     return Status::InvalidArgument("trailing bytes after response payload");
@@ -189,19 +166,16 @@ Result<Response> DecodeResponse(std::string_view payload) {
 }
 
 bool PatchResponseTiming(std::string* payload, const StageBreakdown& timing) {
-  // v2+ payloads with a timing block end in: u8 has_timing=1 | N x u64,
-  // where N follows the payload's version byte.
-  if (payload == nullptr || payload->empty()) return false;
-  const uint8_t version = static_cast<uint8_t>((*payload)[0]);
-  if (version < 2) return false;
-  const size_t block_bytes = TimingBlockBytes(version);
-  if (payload->size() < block_bytes + 1) return false;
-  const size_t flag_at = payload->size() - block_bytes - 1;
+  // A payload with a timing block ends in: u8 has_timing=1 | 10 x u64.
+  if (payload == nullptr || payload->size() < kTimingBytes + 1) {
+    return false;
+  }
+  const size_t flag_at = payload->size() - kTimingBytes - 1;
   if (static_cast<uint8_t>((*payload)[flag_at]) != 1) return false;
   std::string block;
-  block.reserve(block_bytes);
-  PutStageBreakdown(&block, timing, version);
-  payload->replace(flag_at + 1, block_bytes, block);
+  block.reserve(kTimingBytes);
+  PutStageBreakdown(&block, timing);
+  payload->replace(flag_at + 1, kTimingBytes, block);
   return true;
 }
 
@@ -224,7 +198,7 @@ Status WriteFrame(int fd, std::string_view payload) {
   return net::SendAll(fd, Frame(payload));
 }
 
-Result<std::optional<std::string>> ReadFrame(int fd, size_t max_payload) {
+Result<std::optional<std::string>> ReadFrame(int fd) {
   char header[8];
   GEA_ASSIGN_OR_RETURN(
       size_t got, net::RecvExact(fd, header, sizeof(header), /*eof_ok=*/true));
@@ -233,10 +207,10 @@ Result<std::optional<std::string>> ReadFrame(int fd, size_t max_payload) {
   store::ByteReader reader(std::string_view(header, sizeof(header)));
   GEA_ASSIGN_OR_RETURN(uint32_t length, reader.ReadU32());
   GEA_ASSIGN_OR_RETURN(uint32_t expected_crc, reader.ReadU32());
-  if (length > max_payload) {
+  if (length > kMaxPayloadBytes) {
     return Status::InvalidArgument("frame payload too large: " +
                                    std::to_string(length) + " bytes (max " +
-                                   std::to_string(max_payload) + ")");
+                                   std::to_string(kMaxPayloadBytes) + ")");
   }
   std::string payload(length, '\0');
   if (length > 0) {

@@ -27,36 +27,33 @@ namespace gea::serve {
 /// torn or corrupted frame is detected and the connection is dropped
 /// instead of the server acting on garbage.
 ///
-/// Request payload (version 2; version-1 frames stop after the params
-/// block and still decode):
-///   u8  version
+/// There is one protocol version, kProtocolVersion; both decoders reject
+/// any other version byte, since every peer is built from this tree.
+///
+/// Request payload:
+///   u8  version          kProtocolVersion
 ///   u64 request_id       echoed verbatim in the response
 ///   u32 deadline_ms      0 = no deadline; measured from receipt
 ///   str op               command name, e.g. "sql", "populate"
 ///   u32 nparams, then nparams x (str key, str value)
-///   u8  has_trace        v2+: 1 => a trace context follows
+///   u8  has_trace        1 => a trace context follows
 ///   u64 trace_id         client-supplied id (0 = server assigns one)
 ///   u8  sampled          1 => force-sample this request server-side
 ///
-/// Response payload (version 2; version-1 frames stop after the table
-/// block and still decode):
-///   u8  version
+/// Response payload:
+///   u8  version          kProtocolVersion
 ///   u64 request_id
 ///   u8  status code      StatusCode numeric value
 ///   str message          status message (empty on OK)
 ///   str text             human-readable payload (explain, ping, ...)
-///   u8  has_table        1 => store::EncodeTable bytes follow as a str
-///   u64 trace_id         v2+: the request's effective trace id (0 = none)
-///   u8  has_timing       v2+: 1 => a stage breakdown follows
-///   7 x u64              v2: stage nanos, fixed width, in RequestStage
-///                        order: decode, queue_wait, execute, wal_append,
-///                        wal_fsync, encode, write
-///   10 x u64             v3: the 8 RequestStage nanos (the v2 seven plus
-///                        lock_wait) followed by alloc_bytes and
+///   u8  has_table        1 => a str follows holding the table in the
+///                        canonical columnar encoding of store::EncodeTable
+///   u64 trace_id         the request's effective trace id (0 = none)
+///   u8  has_timing       1 => the timing block follows
+///   10 x u64             the RequestStage nanos in stage order (decode,
+///                        queue_wait, execute, wal_append, wal_fsync,
+///                        encode, write, lock_wait), then alloc_bytes and
 ///                        peak_bytes from per-query memory accounting
-///
-/// Version 3 requests are byte-identical to version 2 — only the version
-/// byte and the response timing block changed.
 ///
 /// The timing block is fixed-width and last on purpose: the server
 /// encodes the response with zeros, measures the encode itself, then
@@ -69,11 +66,11 @@ namespace gea::serve {
 /// QueryServer (server.h); the protocol layer is content-agnostic.
 
 inline constexpr uint8_t kProtocolVersion = 3;
-/// Oldest version the decoders still accept.
-inline constexpr uint8_t kMinProtocolVersion = 1;
 
 /// Upper bound on one frame's payload; oversized frames are rejected at
-/// the framing layer before any allocation of that size happens.
+/// the framing layer before any allocation of that size happens. The
+/// server answers a reply that would not fit with a RESOURCE_EXHAUSTED
+/// error instead.
 inline constexpr size_t kMaxPayloadBytes = 16u << 20;  // 16 MiB
 
 /// Wire-level trace context a client attaches to a request.
@@ -82,10 +79,8 @@ struct TraceContext {
   bool sampled = false;   // force-sample server-side (head sampling aside)
 };
 
-/// Server-side stage timing echoed in a v2+ response, nanoseconds per
-/// stage in pipeline order. Matches obs::RequestStage. The v3-only
-/// fields (lock_wait_nanos, alloc_bytes, peak_bytes) decode as zero from
-/// a v2 peer.
+/// Server-side stage timing echoed in a traced request's response,
+/// nanoseconds per stage in pipeline order. Matches obs::RequestStage.
 struct StageBreakdown {
   uint64_t decode_nanos = 0;
   uint64_t queue_nanos = 0;
@@ -94,9 +89,9 @@ struct StageBreakdown {
   uint64_t wal_fsync_nanos = 0;   // subset of execute
   uint64_t encode_nanos = 0;
   uint64_t write_nanos = 0;  // always 0 on the wire; see layout note
-  uint64_t lock_wait_nanos = 0;  // v3: session-lock wait, subset of execute
-  uint64_t alloc_bytes = 0;      // v3: bytes allocated during execution
-  uint64_t peak_bytes = 0;       // v3: high-water mark of live bytes
+  uint64_t lock_wait_nanos = 0;  // session-lock wait, subset of execute
+  uint64_t alloc_bytes = 0;      // bytes allocated during execution
+  uint64_t peak_bytes = 0;       // high-water mark of live bytes
 
   /// Server-side pipeline total (WAL and lock-wait stages excluded —
   /// they are already inside execute).
@@ -106,19 +101,12 @@ struct StageBreakdown {
   }
 };
 
-/// Number of u64 slots in the fixed-width wire timing block, per version.
-inline constexpr size_t kStageBreakdownSlots = 7;     // v2
-inline constexpr size_t kStageBreakdownSlotsV3 = 10;  // v3
-
 struct Request {
   uint64_t request_id = 0;
   uint32_t deadline_ms = 0;  // 0 = no deadline
   std::string op;
   std::map<std::string, std::string> params;
-  std::optional<TraceContext> trace;  // v2+: request tracing opt-in
-  /// Version the frame was decoded from (DecodeRequest sets it); the
-  /// server answers in the same version so v1 peers keep working.
-  uint8_t wire_version = kProtocolVersion;
+  std::optional<TraceContext> trace;  // request tracing opt-in
 };
 
 struct Response {
@@ -127,10 +115,8 @@ struct Response {
   std::string message;            // status message when code != kOk
   std::string text;               // optional human-readable payload
   std::optional<rel::Table> table;  // optional tabular payload
-  uint64_t trace_id = 0;          // v2+: effective trace id (0 = none)
-  std::optional<StageBreakdown> timing;  // v2+: stage breakdown
-  /// Version to encode as / the version the frame was decoded from.
-  uint8_t wire_version = kProtocolVersion;
+  uint64_t trace_id = 0;          // effective trace id (0 = none)
+  std::optional<StageBreakdown> timing;  // stage breakdown
 
   bool ok() const { return code == StatusCode::kOk; }
   /// The response's status: OK, or code+message.
@@ -148,12 +134,11 @@ Result<Request> DecodeRequest(std::string_view payload);
 std::string EncodeResponse(const Response& response);
 Result<Response> DecodeResponse(std::string_view payload);
 
-/// Rewrites the trailing fixed-width timing block of a v2/v3 response
-/// payload that was encoded with a timing breakdown present (the block
-/// width follows the payload's version byte). Returns false (payload
-/// untouched) if the payload is not a v2+ response carrying a timing
-/// block. This is how the server stamps the encode stage's own duration
-/// after measuring it.
+/// Rewrites the trailing fixed-width timing block of a response payload
+/// that was encoded with a timing breakdown present. Returns false
+/// (payload untouched) if the payload carries no timing block. This is
+/// how the server stamps the encode stage's own duration after measuring
+/// it.
 bool PatchResponseTiming(std::string* payload, const StageBreakdown& timing);
 
 // ---- Framing over a socket ----
@@ -166,9 +151,8 @@ Status WriteFrame(int fd, std::string_view payload);
 
 /// Reads one frame from `fd`. Returns nullopt on a clean EOF *before*
 /// the first header byte (the peer hung up between requests); any torn
-/// frame, CRC mismatch or oversized length is an error.
-Result<std::optional<std::string>> ReadFrame(
-    int fd, size_t max_payload = kMaxPayloadBytes);
+/// frame, CRC mismatch or length over kMaxPayloadBytes is an error.
+Result<std::optional<std::string>> ReadFrame(int fd);
 
 /// Validates a wire status-code byte. Unknown values fail (a response
 /// from a newer/corrupt peer must not alias to OK).

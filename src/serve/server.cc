@@ -355,24 +355,21 @@ void QueryServer::Stop() {
 
   // 2. Wake every reader: SHUT_RD turns their blocking recv into EOF.
   //    In-flight responses can still be written (write side stays open).
+  //    Readers exit on EOF; join them so no new requests can be admitted.
+  std::map<std::thread::id, Reader> readers;
   {
     std::lock_guard<std::mutex> conns_lock(conns_mu_);
-    for (const std::weak_ptr<Connection>& weak : conns_) {
-      if (std::shared_ptr<Connection> conn = weak.lock()) {
-        shutdown(conn->fd, SHUT_RD);
-      }
+    readers.swap(readers_);
+  }
+  for (auto& [id, reader] : readers) {
+    if (std::shared_ptr<Connection> conn = reader.conn.lock()) {
+      shutdown(conn->fd, SHUT_RD);
     }
   }
+  for (auto& [id, reader] : readers) reader.thread.join();
   {
-    // Readers exit on EOF; join them so no new requests can be admitted.
-    std::vector<std::thread> readers;
-    {
-      std::lock_guard<std::mutex> conns_lock(conns_mu_);
-      readers.swap(readers_);
-    }
-    for (std::thread& reader : readers) {
-      if (reader.joinable()) reader.join();
-    }
+    std::lock_guard<std::mutex> conns_lock(conns_mu_);
+    exited_readers_.clear();  // every reader is joined by now
   }
 
   // 3. Drain: workers finish every admitted request, then exit.
@@ -386,10 +383,6 @@ void QueryServer::Stop() {
   }
   workers_.clear();
 
-  {
-    std::lock_guard<std::mutex> conns_lock(conns_mu_);
-    conns_.clear();  // remaining Connection refs die with their tasks
-  }
   port_.store(0, std::memory_order_release);
   // Back to inline durability for direct (unserved) session use.
   if (session_ != nullptr) session_->SetDeferredCommits(false);
@@ -424,22 +417,26 @@ void QueryServer::AcceptLoop(int listen_fd) {
     stats_->connections.fetch_add(1, std::memory_order_relaxed);
     ConnectionsTotalCounter().Add(1);
     ConnectionsGauge().Add(1);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.erase(std::remove_if(
-                     conns_.begin(), conns_.end(),
-                     [](const std::weak_ptr<Connection>& w) {
-                       return w.expired();
-                     }),
-                 conns_.end());
-    conns_.push_back(conn);
-    readers_.emplace_back(&QueryServer::ConnectionLoop, this, std::move(conn));
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      for (std::thread::id id : exited_readers_) {
+        exited.push_back(std::move(readers_.extract(id).mapped().thread));
+      }
+      exited_readers_.clear();
+      Reader reader{{}, conn};
+      reader.thread =
+          std::thread(&QueryServer::ConnectionLoop, this, std::move(conn));
+      readers_.emplace(reader.thread.get_id(), std::move(reader));
+    }
+    // These readers have returned; joining them releases their stacks.
+    for (std::thread& thread : exited) thread.join();
   }
 }
 
 void QueryServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
   for (;;) {
-    Result<std::optional<std::string>> frame =
-        ReadFrame(conn->fd, options_.max_payload_bytes);
+    Result<std::optional<std::string>> frame = ReadFrame(conn->fd);
     if (!frame.ok() || !frame->has_value()) {
       // Torn frame / CRC mismatch / peer gone: nothing trustworthy left
       // on this stream, so drop the connection.
@@ -517,6 +514,8 @@ void QueryServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
   }
   stats_->connections.fetch_add(-1, std::memory_order_relaxed);
   ConnectionsGauge().Add(-1);
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  exited_readers_.push_back(std::this_thread::get_id());
 }
 
 void QueryServer::WorkerLoop() {
@@ -602,14 +601,11 @@ void QueryServer::RunTask(Task task) {
                                                            start)
           .count());
 
-  // Answer in the requester's protocol version; echo the trace id and —
-  // when the client sent a trace context — the stage breakdown
-  // (WriteResponse fills encode and patches the block in place).
-  response.wire_version = task.request.wire_version;
-  if (task.request.wire_version >= 2) {
-    response.trace_id = task.trace_id;
-    if (task.request.trace.has_value()) response.timing.emplace();
-  }
+  // Echo the trace id and — when the client sent a trace context — the
+  // stage breakdown (WriteResponse fills encode and patches the block in
+  // place).
+  response.trace_id = task.trace_id;
+  if (task.request.trace.has_value()) response.timing.emplace();
   (void)WriteResponse(*task.conn, response, &stages, &account);
 
   PublishTrace(task, response, stage_scope, account);
@@ -652,6 +648,20 @@ Status QueryServer::WriteResponse(Connection& conn, const Response& response,
                                   const obs::MemoryAccount* account) {
   const uint64_t encode_start = stages != nullptr ? obs::NowNanos() : 0;
   std::string payload = EncodeResponse(response);
+  if (payload.size() > kMaxPayloadBytes) {
+    // WriteFrame would refuse it, and the client would wait forever.
+    Response refused = ErrorResponse(
+        response.request_id,
+        Status::ResourceExhausted(
+            "response of " + std::to_string(payload.size()) +
+            " bytes exceeds the frame cap of " +
+            std::to_string(kMaxPayloadBytes) + " bytes"));
+    refused.trace_id = response.trace_id;
+    refused.timing = response.timing;
+    payload = EncodeResponse(refused);
+    stats_->errors.fetch_add(1, std::memory_order_relaxed);
+    ErrorsCounter().Add(1);
+  }
   if (stages != nullptr) {
     (*stages)[obs::RequestStage::kEncode] = obs::NowNanos() - encode_start;
     if (response.timing.has_value()) {

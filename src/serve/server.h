@@ -44,8 +44,6 @@ struct ServerOptions {
   /// full is rejected immediately with RESOURCE_EXHAUSTED — explicit
   /// backpressure, never a silent drop or an unbounded buffer.
   size_t queue_capacity = 64;
-  /// Per-frame payload cap (both directions).
-  size_t max_payload_bytes = kMaxPayloadBytes;
 };
 
 /// The concurrent query service: a multi-client TCP front end over one
@@ -53,7 +51,8 @@ struct ServerOptions {
 ///
 /// ## Threading model
 ///
-/// One accept thread hands each connection to a dedicated reader thread.
+/// One accept thread hands each connection to a dedicated reader thread
+/// and, on each accept, joins the readers whose connections have closed.
 /// Readers decode frames and push requests onto a bounded admission
 /// queue; `num_workers` workers drain it. Execution takes a
 /// std::shared_mutex over the session: read-only commands (sql, tables,
@@ -118,9 +117,9 @@ struct ServerOptions {
 /// Every request's pipeline stages (decode, queue wait, execute, WAL
 /// append/fsync, encode, write, session-lock wait) are clocked and the
 /// execution's accounted allocation bytes / peak live bytes are
-/// attributed to the request; a v2+ request carrying a trace context
-/// gets the breakdown echoed in its response (v3 adds lock_wait and the
-/// memory pair). Sampled
+/// attributed to the request; a request carrying a trace context gets
+/// the breakdown, with lock_wait and the memory pair, echoed in its
+/// response. Sampled
 /// requests — client sampled flag, GEA_TRACE_SAMPLE 1-in-N head
 /// sampling, or the slow-query tail escape hatch — are published as
 /// RequestTraceRecords (with the execution span tree when span-sampled)
@@ -228,8 +227,10 @@ class QueryServer {
   Response Dispatch(Connection& conn, const Request& request);
   /// Encodes and writes one response. With `stages`, measures the encode
   /// and write stages into it and patches the response's wire timing
-  /// block (when present) before framing; `account` supplies the v3
-  /// memory-accounting fields of that block.
+  /// block (when present) before framing; `account` supplies the
+  /// memory-accounting fields of that block. A response too large for
+  /// one frame is replaced by a RESOURCE_EXHAUSTED error carrying the
+  /// same request id, so the client is answered either way.
   Status WriteResponse(Connection& conn, const Response& response,
                        obs::StageNanos* stages = nullptr,
                        const obs::MemoryAccount* account = nullptr);
@@ -257,10 +258,16 @@ class QueryServer {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 
-  // Reader threads and live connections, guarded by conns_mu_.
+  // Per-connection readers, guarded by conns_mu_. A reader files its id
+  // in exited_readers_ as it returns; AcceptLoop joins those on the next
+  // accept and Stop() joins the rest.
+  struct Reader {
+    std::thread thread;
+    std::weak_ptr<Connection> conn;  // Stop() shuts it down to wake the reader
+  };
   std::mutex conns_mu_;
-  std::vector<std::thread> readers_;
-  std::vector<std::weak_ptr<Connection>> conns_;
+  std::map<std::thread::id, Reader> readers_;
+  std::vector<std::thread::id> exited_readers_;
 
   // Admission queue. The mutex is lock-wait instrumented
   // ("gea.lock.queue"); condition_variable_any works with any Lockable.

@@ -77,7 +77,7 @@ void PrintTiming(const QueryClient& client) {
                 ms(timing->lock_wait_nanos), ms(timing->wal_append_nanos),
                 ms(timing->wal_fsync_nanos), ms(timing->encode_nanos));
   std::cout << line;
-  // The memory pair rides the v3 timing block; a v2 server leaves both 0.
+  // A request that materializes nothing reports no memory line.
   if (timing->alloc_bytes > 0 || timing->peak_bytes > 0) {
     std::snprintf(line, sizeof(line),
                   "Memory: %llu bytes allocated, %llu peak\n",

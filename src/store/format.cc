@@ -1,6 +1,12 @@
 #include "store/format.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "rel/schema.h"
 #include "rel/value.h"
@@ -13,6 +19,30 @@ Status Truncated(const char* what) {
   return Status::OutOfRange(std::string("truncated encoding: ") + what);
 }
 
+// The formats are little-endian, so a fixed-width word is its host
+// bytes.
+static_assert(std::endian::native == std::endian::little,
+              "LoadLE/StoreLE need byte swaps on big-endian hosts");
+
+template <typename T>
+T LoadLE(const char* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+template <typename T>
+void StoreLE(char* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
+}
+
+// Grows `out` by `bytes` and returns where they start.
+char* Extend(std::string* out, size_t bytes) {
+  const size_t at = out->size();
+  out->resize(at + bytes);
+  return out->data() + at;
+}
+
 }  // namespace
 
 void PutU8(std::string* dst, uint8_t v) {
@@ -20,25 +50,11 @@ void PutU8(std::string* dst, uint8_t v) {
 }
 
 void PutU32(std::string* dst, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    dst->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  StoreLE(Extend(dst, sizeof(v)), v);
 }
 
 void PutU64(std::string* dst, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    dst->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutI64(std::string* dst, int64_t v) {
-  PutU64(dst, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::string* dst, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(dst, bits);
+  StoreLE(Extend(dst, sizeof(v)), v);
 }
 
 void PutString(std::string* dst, std::string_view v) {
@@ -53,22 +69,14 @@ Result<uint8_t> ByteReader::ReadU8() {
 
 Result<uint32_t> ByteReader::ReadU32() {
   if (remaining() < 4) return Truncated("u32");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
+  const uint32_t v = LoadLE<uint32_t>(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 Result<uint64_t> ByteReader::ReadU64() {
   if (remaining() < 8) return Truncated("u64");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-         << (8 * i);
-  }
+  const uint64_t v = LoadLE<uint64_t>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -80,65 +88,51 @@ Result<int64_t> ByteReader::ReadI64() {
 
 Result<double> ByteReader::ReadF64() {
   GEA_ASSIGN_OR_RETURN(uint64_t bits, ReadU64());
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  return std::bit_cast<double>(bits);
 }
 
 Result<std::string> ByteReader::ReadString() {
   GEA_ASSIGN_OR_RETURN(uint32_t size, ReadU32());
-  if (remaining() < size) return Truncated("string body");
-  std::string out(data_.substr(pos_, size));
-  pos_ += size;
+  GEA_ASSIGN_OR_RETURN(std::string_view body, ReadBytes(size));
+  return std::string(body);
+}
+
+Result<std::string_view> ByteReader::ReadBytes(size_t n) {
+  if (remaining() < n) return Truncated("byte run");
+  std::string_view out = data_.substr(pos_, n);
+  pos_ += n;
   return out;
 }
 
 namespace {
 
-// Cell type tags. Distinct from rel::ValueType's numeric values on
-// purpose: the on-disk format is frozen here, the enum is not.
-constexpr uint8_t kCellNull = 0;
-constexpr uint8_t kCellInt = 1;
-constexpr uint8_t kCellDouble = 2;
-constexpr uint8_t kCellString = 3;
+// Cell and column type tags are indexes into kTagTypes. Distinct from
+// rel::ValueType's numbering on purpose: the format is frozen here, the
+// enum is not.
+constexpr rel::ValueType kTagTypes[] = {
+    rel::ValueType::kNull, rel::ValueType::kInt, rel::ValueType::kDouble,
+    rel::ValueType::kString};
 
 uint8_t ColumnTypeTag(rel::ValueType type) {
-  switch (type) {
-    case rel::ValueType::kNull:
-      return kCellNull;
-    case rel::ValueType::kInt:
-      return kCellInt;
-    case rel::ValueType::kDouble:
-      return kCellDouble;
-    case rel::ValueType::kString:
-      return kCellString;
-  }
-  return kCellNull;
+  return static_cast<uint8_t>(
+      std::find(std::begin(kTagTypes), std::end(kTagTypes), type) -
+      std::begin(kTagTypes));
 }
 
 Result<rel::ValueType> ColumnTypeFromTag(uint8_t tag) {
-  switch (tag) {
-    case kCellNull:
-      return rel::ValueType::kNull;
-    case kCellInt:
-      return rel::ValueType::kInt;
-    case kCellDouble:
-      return rel::ValueType::kDouble;
-    case kCellString:
-      return rel::ValueType::kString;
+  if (tag >= std::size(kTagTypes)) {
+    return Status::InvalidArgument("unknown type tag: " + std::to_string(tag));
   }
-  return Status::InvalidArgument("unknown column type tag: " +
-                                 std::to_string(tag));
+  return kTagTypes[tag];
 }
 
-}  // namespace
-
-namespace {
-
-// Leads the columnar encoding; the row codec starts with the u32 length
-// of the table name, which PutString caps well below this value.
 constexpr uint32_t kColumnarSentinel = 0xFFFFFFFFu;
 constexpr uint8_t kColumnarVersion = 1;
+
+// The bitmap bits of the last word that belong to rows.
+uint64_t LastWordMask(uint64_t rows) {
+  return rows % 64 == 0 ? ~uint64_t{0} : (uint64_t{1} << (rows % 64)) - 1;
+}
 
 void EncodeSchema(std::string* out, const rel::Table& table) {
   PutString(out, table.name());
@@ -149,6 +143,37 @@ void EncodeSchema(std::string* out, const rel::Table& table) {
   }
 }
 
+// Writes `value(r)` for each row as one fixed-width run, zero on nulls.
+template <typename T, typename Fn>
+void PutValues(std::string* out, const rel::Column& col, size_t rows,
+               Fn value) {
+  char* p = Extend(out, rows * sizeof(T));
+  for (size_t r = 0; r < rows; ++r) {
+    StoreLE<T>(p + r * sizeof(T), col.IsNull(r) ? T{} : value(r));
+  }
+}
+
+// Writes only the dictionary entries that non-null rows use, renumbered
+// in order of first use: a gathered column keeps its source's whole
+// dictionary, and neither that nor interning order may show in the bytes.
+void EncodeStrings(std::string* out, const rel::Column& col, size_t rows) {
+  constexpr uint32_t kUnused = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> renumbered(col.dict().size(), kUnused);
+  std::vector<uint32_t> used;  // source codes in order of first use
+  for (size_t r = 0; r < rows; ++r) {
+    if (col.IsNull(r)) continue;
+    uint32_t& code = renumbered[col.CodeAt(r)];
+    if (code == kUnused) {
+      code = static_cast<uint32_t>(used.size());
+      used.push_back(col.CodeAt(r));
+    }
+  }
+  PutU32(out, static_cast<uint32_t>(used.size()));
+  for (uint32_t code : used) PutString(out, col.dict()[code]);
+  PutValues<uint32_t>(out, col, rows,
+                      [&](size_t r) { return renumbered[col.CodeAt(r)]; });
+}
+
 struct DecodedSchema {
   std::string name;
   rel::Schema schema;
@@ -157,6 +182,8 @@ struct DecodedSchema {
 Result<DecodedSchema> DecodeSchema(ByteReader& reader) {
   GEA_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
   GEA_ASSIGN_OR_RETURN(uint32_t num_columns, reader.ReadU32());
+  // A column takes at least 5 bytes: its name's length and a type tag.
+  if (num_columns > reader.remaining() / 5) return Truncated("schema");
   std::vector<rel::ColumnDef> defs;
   defs.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
@@ -170,38 +197,144 @@ Result<DecodedSchema> DecodeSchema(ByteReader& reader) {
   return DecodedSchema{std::move(name), std::move(schema)};
 }
 
+bool NullBit(const uint64_t* nulls, size_t row) {
+  return (nulls[row >> 6] >> (row & 63)) & 1;
+}
+
+// `count` fixed-width values, checked against the bytes that remain
+// before anything is sized from `count`. Slots under a bit of `nulls`
+// (when given) decode as zero whatever the input holds there.
+template <typename T>
+Result<std::vector<T>> ReadValues(ByteReader& reader, uint64_t count,
+                                  const uint64_t* nulls) {
+  if (count > reader.remaining() / sizeof(T)) return Truncated("column");
+  GEA_ASSIGN_OR_RETURN(std::string_view raw,
+                       reader.ReadBytes(count * sizeof(T)));
+  std::vector<T> values(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (nulls == nullptr || !NullBit(nulls, i)) {
+      values[i] = LoadLE<T>(raw.data() + i * sizeof(T));
+    }
+  }
+  return values;
+}
+
+Result<rel::Table> DecodeColumns(ByteReader& reader) {
+  GEA_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8());
+  if (version != kColumnarVersion) {
+    return Status::InvalidArgument("unsupported columnar table version: " +
+                                   std::to_string(version));
+  }
+  GEA_ASSIGN_OR_RETURN(DecodedSchema decoded, DecodeSchema(reader));
+  GEA_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadU64());
+  const size_t num_columns = decoded.schema.NumColumns();
+  // Every column spends a bitmap word per 64 rows.
+  if (num_columns > 0 && rows / 64 > reader.remaining() / 8) {
+    return Truncated("null bitmap");
+  }
+  std::vector<rel::Column> columns;
+  columns.reserve(num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    GEA_ASSIGN_OR_RETURN(
+        std::vector<uint64_t> nulls,
+        ReadValues<uint64_t>(reader, rel::Column::NullWordsFor(rows), nullptr));
+    // Bits past the last row are not cells.
+    if (!nulls.empty()) nulls.back() &= LastWordMask(rows);
+    switch (decoded.schema.column(c).type) {
+      case rel::ValueType::kInt: {
+        GEA_ASSIGN_OR_RETURN(std::vector<int64_t> vals,
+                             ReadValues<int64_t>(reader, rows, nulls.data()));
+        columns.push_back(
+            rel::Column::FromRawInts(std::move(vals), std::move(nulls), rows));
+        break;
+      }
+      case rel::ValueType::kDouble: {
+        GEA_ASSIGN_OR_RETURN(std::vector<double> vals,
+                             ReadValues<double>(reader, rows, nulls.data()));
+        columns.push_back(rel::Column::FromRawDoubles(std::move(vals),
+                                                      std::move(nulls), rows));
+        break;
+      }
+      case rel::ValueType::kString: {
+        GEA_ASSIGN_OR_RETURN(uint32_t dict_size, reader.ReadU32());
+        // An entry takes at least its 4-byte length.
+        if (dict_size > reader.remaining() / 4) return Truncated("dictionary");
+        std::vector<std::string> dict;
+        dict.reserve(dict_size);
+        for (uint32_t d = 0; d < dict_size; ++d) {
+          GEA_ASSIGN_OR_RETURN(std::string s, reader.ReadString());
+          dict.push_back(std::move(s));
+        }
+        GEA_ASSIGN_OR_RETURN(std::vector<uint32_t> codes,
+                             ReadValues<uint32_t>(reader, rows, nulls.data()));
+        for (size_t r = 0; r < rows; ++r) {
+          if (codes[r] >= dict_size && !NullBit(nulls.data(), r)) {
+            return Status::InvalidArgument("dictionary code out of range: " +
+                                           std::to_string(codes[r]));
+          }
+        }
+        GEA_ASSIGN_OR_RETURN(
+            rel::Column column,
+            rel::Column::FromRawStrings(std::move(dict), std::move(codes),
+                                        std::move(nulls), rows));
+        columns.push_back(std::move(column));
+        break;
+      }
+      case rel::ValueType::kNull:
+        columns.push_back(rel::Column::FromRawNulls(rows));
+        break;
+    }
+  }
+  return rel::Table::FromColumns(std::move(decoded.name),
+                                 std::move(decoded.schema),
+                                 std::move(columns), rows);
+}
+
+Result<rel::Table> DecodeRows(ByteReader& reader) {
+  GEA_ASSIGN_OR_RETURN(DecodedSchema decoded, DecodeSchema(reader));
+  GEA_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
+  const size_t num_columns = decoded.schema.NumColumns();
+  // Every cell takes at least its type tag byte; rows without cells are
+  // refused rather than counted out one by one.
+  if (num_rows > reader.remaining() / std::max<size_t>(num_columns, 1)) {
+    return Truncated("rows");
+  }
+  rel::Table table(std::move(decoded.name), std::move(decoded.schema));
+  for (uint64_t r = 0; r < num_rows; ++r) {
+    rel::Row row;
+    row.reserve(num_columns);
+    for (size_t c = 0; c < num_columns; ++c) {
+      GEA_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
+      GEA_ASSIGN_OR_RETURN(rel::ValueType type, ColumnTypeFromTag(tag));
+      switch (type) {
+        case rel::ValueType::kNull:
+          row.push_back(rel::Value::Null());
+          break;
+        case rel::ValueType::kInt: {
+          GEA_ASSIGN_OR_RETURN(int64_t v, reader.ReadI64());
+          row.push_back(rel::Value::Int(v));
+          break;
+        }
+        case rel::ValueType::kDouble: {
+          GEA_ASSIGN_OR_RETURN(double v, reader.ReadF64());
+          row.push_back(rel::Value::Double(v));
+          break;
+        }
+        case rel::ValueType::kString: {
+          GEA_ASSIGN_OR_RETURN(std::string v, reader.ReadString());
+          row.push_back(rel::Value::String(std::move(v)));
+          break;
+        }
+      }
+    }
+    GEA_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
+  }
+  return table;
+}
+
 }  // namespace
 
 std::string EncodeTable(const rel::Table& table) {
-  std::string out;
-  EncodeSchema(&out, table);
-  PutU64(&out, table.NumRows());
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    for (size_t c = 0; c < table.NumColumns(); ++c) {
-      const rel::Value v = table.At(r, c);
-      switch (v.type()) {
-        case rel::ValueType::kNull:
-          PutU8(&out, kCellNull);
-          break;
-        case rel::ValueType::kInt:
-          PutU8(&out, kCellInt);
-          PutI64(&out, v.AsInt());
-          break;
-        case rel::ValueType::kDouble:
-          PutU8(&out, kCellDouble);
-          PutF64(&out, v.AsDouble());
-          break;
-        case rel::ValueType::kString:
-          PutU8(&out, kCellString);
-          PutString(&out, v.AsString());
-          break;
-      }
-    }
-  }
-  return out;
-}
-
-std::string EncodeTableColumnar(const rel::Table& table) {
   std::string out;
   PutU32(&out, kColumnarSentinel);
   PutU8(&out, kColumnarVersion);
@@ -211,20 +344,22 @@ std::string EncodeTableColumnar(const rel::Table& table) {
   const size_t words = rel::Column::NullWordsFor(rows);
   for (size_t c = 0; c < table.NumColumns(); ++c) {
     const rel::Column& col = table.column(c);
-    for (size_t w = 0; w < words; ++w) PutU64(&out, col.null_words()[w]);
+    for (size_t w = 0; w < words; ++w) {
+      PutU64(&out, col.null_words()[w] &
+                       (w + 1 == words ? LastWordMask(rows) : ~uint64_t{0}));
+    }
     switch (col.type()) {
       case rel::ValueType::kInt:
-        for (size_t r = 0; r < rows; ++r) PutI64(&out, col.int_data()[r]);
+        PutValues<int64_t>(&out, col, rows,
+                           [&](size_t r) { return col.IntAt(r); });
         break;
       case rel::ValueType::kDouble:
-        for (size_t r = 0; r < rows; ++r) PutF64(&out, col.double_data()[r]);
+        PutValues<double>(&out, col, rows,
+                          [&](size_t r) { return col.DoubleAt(r); });
         break;
-      case rel::ValueType::kString: {
-        PutU32(&out, static_cast<uint32_t>(col.dict().size()));
-        for (const std::string& s : col.dict()) PutString(&out, s);
-        for (size_t r = 0; r < rows; ++r) PutU32(&out, col.code_data()[r]);
+      case rel::ValueType::kString:
+        EncodeStrings(&out, col, rows);
         break;
-      }
       case rel::ValueType::kNull:
         break;  // no payload; the bitmap says it all
     }
@@ -232,142 +367,13 @@ std::string EncodeTableColumnar(const rel::Table& table) {
   return out;
 }
 
-namespace {
-
-Result<rel::Table> DecodeTableColumnar(ByteReader& reader) {
-  GEA_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8());
-  if (version != kColumnarVersion) {
-    return Status::InvalidArgument("unsupported columnar table version: " +
-                                   std::to_string(version));
-  }
-  GEA_ASSIGN_OR_RETURN(DecodedSchema decoded, DecodeSchema(reader));
-  GEA_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadU64());
-  const size_t words = rel::Column::NullWordsFor(rows);
-  // Every column spends 8 bytes per 64 rows on its bitmap; rejecting row
-  // counts the buffer cannot possibly hold keeps allocation sizes honest
-  // before any vector is sized from attacker-controlled input.
-  if (decoded.schema.NumColumns() > 0 && words * 8 > reader.remaining()) {
-    return Truncated("columnar null bitmap");
-  }
-  std::vector<rel::Column> columns;
-  columns.reserve(decoded.schema.NumColumns());
-  for (size_t c = 0; c < decoded.schema.NumColumns(); ++c) {
-    std::vector<uint64_t> nulls(words);
-    for (size_t w = 0; w < words; ++w) {
-      GEA_ASSIGN_OR_RETURN(nulls[w], reader.ReadU64());
-    }
-    switch (decoded.schema.column(c).type) {
-      case rel::ValueType::kInt: {
-        std::vector<int64_t> vals(rows);
-        for (uint64_t r = 0; r < rows; ++r) {
-          GEA_ASSIGN_OR_RETURN(vals[r], reader.ReadI64());
-          if ((nulls[r >> 6] >> (r & 63)) & 1) vals[r] = 0;  // canonical fill
-        }
-        columns.push_back(
-            rel::Column::FromRawInts(std::move(vals), std::move(nulls), rows));
-        break;
-      }
-      case rel::ValueType::kDouble: {
-        std::vector<double> vals(rows);
-        for (uint64_t r = 0; r < rows; ++r) {
-          GEA_ASSIGN_OR_RETURN(vals[r], reader.ReadF64());
-          if ((nulls[r >> 6] >> (r & 63)) & 1) vals[r] = 0.0;
-        }
-        columns.push_back(rel::Column::FromRawDoubles(std::move(vals),
-                                                      std::move(nulls), rows));
-        break;
-      }
-      case rel::ValueType::kString: {
-        GEA_ASSIGN_OR_RETURN(uint32_t dict_size, reader.ReadU32());
-        std::vector<std::string> dict;
-        dict.reserve(dict_size);
-        for (uint32_t d = 0; d < dict_size; ++d) {
-          GEA_ASSIGN_OR_RETURN(std::string s, reader.ReadString());
-          dict.push_back(std::move(s));
-        }
-        std::vector<uint32_t> codes(rows);
-        for (uint64_t r = 0; r < rows; ++r) {
-          GEA_ASSIGN_OR_RETURN(codes[r], reader.ReadU32());
-          const bool is_null = (nulls[r >> 6] >> (r & 63)) & 1;
-          if (!is_null && codes[r] >= dict_size) {
-            return Status::InvalidArgument(
-                "dictionary code out of range: " + std::to_string(codes[r]));
-          }
-          if (is_null) codes[r] = 0;  // canonical zero fill for re-encode
-        }
-        columns.push_back(rel::Column::FromRawStrings(
-            std::move(dict), std::move(codes), std::move(nulls), rows));
-        break;
-      }
-      case rel::ValueType::kNull:
-        columns.push_back(rel::Column::FromRawNulls(rows));
-        break;
-    }
-  }
-  if (!reader.Done()) {
-    return Status::InvalidArgument("trailing bytes after table encoding");
-  }
-  return rel::Table::FromColumns(std::move(decoded.name),
-                                 std::move(decoded.schema),
-                                 std::move(columns), rows);
-}
-
-}  // namespace
-
 Result<rel::Table> DecodeTable(std::string_view data) {
   ByteReader reader(data);
-  {
-    ByteReader peek(data);
-    Result<uint32_t> lead = peek.ReadU32();
-    if (lead.ok() && *lead == kColumnarSentinel) {
-      (void)reader.ReadU32();  // consume the sentinel
-      return DecodeTableColumnar(reader);
-    }
-  }
-  GEA_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
-  GEA_ASSIGN_OR_RETURN(uint32_t num_columns, reader.ReadU32());
-  std::vector<rel::ColumnDef> defs;
-  defs.reserve(num_columns);
-  for (uint32_t c = 0; c < num_columns; ++c) {
-    GEA_ASSIGN_OR_RETURN(std::string col_name, reader.ReadString());
-    GEA_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
-    GEA_ASSIGN_OR_RETURN(rel::ValueType type, ColumnTypeFromTag(tag));
-    defs.push_back({std::move(col_name), type});
-  }
-  GEA_ASSIGN_OR_RETURN(rel::Schema schema, rel::Schema::Create(std::move(defs)));
-  rel::Table table(name, schema);
-  GEA_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
-  for (uint64_t r = 0; r < num_rows; ++r) {
-    rel::Row row;
-    row.reserve(num_columns);
-    for (uint32_t c = 0; c < num_columns; ++c) {
-      GEA_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
-      switch (tag) {
-        case kCellNull:
-          row.push_back(rel::Value::Null());
-          break;
-        case kCellInt: {
-          GEA_ASSIGN_OR_RETURN(int64_t v, reader.ReadI64());
-          row.push_back(rel::Value::Int(v));
-          break;
-        }
-        case kCellDouble: {
-          GEA_ASSIGN_OR_RETURN(double v, reader.ReadF64());
-          row.push_back(rel::Value::Double(v));
-          break;
-        }
-        case kCellString: {
-          GEA_ASSIGN_OR_RETURN(std::string v, reader.ReadString());
-          row.push_back(rel::Value::String(std::move(v)));
-          break;
-        }
-        default:
-          return Status::InvalidArgument("unknown cell tag: " +
-                                         std::to_string(tag));
-      }
-    }
-    GEA_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
-  }
+  const bool columnar =
+      data.size() >= 4 && LoadLE<uint32_t>(data.data()) == kColumnarSentinel;
+  if (columnar) (void)reader.ReadU32();
+  GEA_ASSIGN_OR_RETURN(rel::Table table, columnar ? DecodeColumns(reader)
+                                                  : DecodeRows(reader));
   if (!reader.Done()) {
     return Status::InvalidArgument("trailing bytes after table encoding");
   }

@@ -18,8 +18,6 @@ namespace gea::store {
 void PutU8(std::string* dst, uint8_t v);
 void PutU32(std::string* dst, uint32_t v);
 void PutU64(std::string* dst, uint64_t v);
-void PutI64(std::string* dst, int64_t v);
-void PutF64(std::string* dst, double v);
 void PutString(std::string* dst, std::string_view v);
 
 /// Sequential reader over an encoded buffer. Every getter fails with
@@ -35,6 +33,8 @@ class ByteReader {
   Result<int64_t> ReadI64();
   Result<double> ReadF64();
   Result<std::string> ReadString();
+  /// The next `n` raw bytes, as a view into the buffer.
+  Result<std::string_view> ReadBytes(size_t n);
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }
@@ -45,22 +45,32 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-/// Row-oriented relation codec: name, schema (column name + type byte),
-/// row count, then cells. Each cell is a type tag byte followed by its
-/// payload, so NULLs round-trip in any column. This was the snapshot
-/// section body through PR 4 and is still the wire encoding of get_table
-/// responses (kept byte-compatible for clients); snapshots now use
-/// EncodeTableColumnar below.
+/// The relation codec, used by snapshots, query-service replies, the
+/// replication snapshot blob and every byte-level table comparison.
+/// Layout:
+///
+///   u32 0xFFFFFFFF      sentinel: an impossible name length in the row
+///                       layout below, so DecodeTable can tell them apart
+///   u8  1               columnar layout version
+///   str name, u32 ncols, ncols x (str column name, u8 type tag)
+///   u64 rows
+///   per column: NullWordsFor(rows) x u64 null bitmap (bit set = NULL),
+///   then rows x i64, rows x f64 bits, or (u32 dictionary size, the
+///   dictionary strings, rows x u32 codes); NULL-typed columns stop after
+///   the bitmap.
+///
+/// The encoding is canonical: the bytes depend only on the table's name,
+/// schema and cells. A string column writes only the dictionary entries
+/// its non-null rows use, in order of first use, with codes renumbered to
+/// match; null slots are written as zero, and so are bitmap bits past the
+/// last row. Equal bytes therefore mean equal tables, whichever operator
+/// built them.
 std::string EncodeTable(const rel::Table& table);
 
-/// Columnar relation codec: each column serializes as its null bitmap
-/// followed by the contiguous payload vector (dictionary + codes for
-/// strings). The encoding opens with a u32 0xFFFFFFFF sentinel — an
-/// impossible name length in the row codec — so DecodeTable can tell the
-/// two apart and keep reading PR-4-era snapshots.
-std::string EncodeTableColumnar(const rel::Table& table);
-
-/// Decodes either codec, dispatching on the leading sentinel.
+/// Decodes the layout above, or the row layout of older snapshot files
+/// (name, schema, row count, then per cell a type tag and its payload).
+/// Every count is checked against the bytes that remain before anything
+/// is sized from it.
 Result<rel::Table> DecodeTable(std::string_view data);
 
 }  // namespace gea::store

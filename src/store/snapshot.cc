@@ -19,9 +19,9 @@ std::string EncodeSectionBody(const SnapshotSection& section) {
   PutString(&body, section.kind);
   PutString(&body, section.name);
   if (section.type == SnapshotSection::Type::kTable) {
-    // Columnar since PR 6; DecodeTable still reads the PR-4 row codec, so
-    // older snapshot files stay loadable.
-    PutString(&body, EncodeTableColumnar(*section.table));
+    // DecodeTable still reads the row layout, so older snapshot files
+    // stay loadable.
+    PutString(&body, EncodeTable(*section.table));
   } else {
     PutString(&body, section.blob);
   }

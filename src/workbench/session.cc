@@ -452,13 +452,13 @@ Status AnalysisSession::LoadDatabase(const std::string& directory) {
 
 // ---- Shared namespace plumbing ----
 
-Status AnalysisSession::CheckNameFree(const std::string& name, bool replace) {
-  bool taken = enums_.count(name) > 0 || sumys_.count(name) > 0 ||
-               gaps_.count(name) > 0;
+Status AnalysisSession::CheckNameFree(const std::string& name,
+                                      bool replace) const {
+  const bool taken = enums_.count(name) > 0 || sumys_.count(name) > 0 ||
+                     gaps_.count(name) > 0;
   if (taken && !replace) {
     return Status::AlreadyExists("a table already exists: " + name);
   }
-  if (taken) DropObject(name);
   return Status::OK();
 }
 
@@ -503,8 +503,7 @@ Status AnalysisSession::CreateTissueDataSet(sage::TissueType tissue,
       return Status::NotFound(std::string("no libraries of tissue type ") +
                               sage::TissueTypeName(tissue));
     }
-    enums_.emplace(name, std::make_shared<const core::EnumTable>(
-                             core::EnumTable::FromDataSet(name, slice)));
+    Store(enums_, name, core::EnumTable::FromDataSet(name, slice));
     RecordLineage(name, lineage::NodeKind::kDataSet, "tissue_dataset",
                   {{"tissue", name}}, {"SAGE"});
     return WalOp("tissue_dataset",
@@ -521,8 +520,7 @@ Status AnalysisSession::CreateCustomDataSet(const std::string& name,
     GEA_ASSIGN_OR_RETURN(const sage::SageDataSet* data, DataSet());
     GEA_RETURN_IF_ERROR(CheckNameFree(name, replace));
     GEA_ASSIGN_OR_RETURN(sage::SageDataSet slice, data->SelectByIds(ids));
-    enums_.emplace(name, std::make_shared<const core::EnumTable>(
-                             core::EnumTable::FromDataSet(name, slice)));
+    Store(enums_, name, core::EnumTable::FromDataSet(name, slice));
     RecordLineage(name, lineage::NodeKind::kDataSet, "custom_dataset",
                   {{"libraries", std::to_string(ids.size())}}, {"SAGE"});
     std::string ids_text;
@@ -612,12 +610,17 @@ Result<std::vector<std::string>> AnalysisSession::CalculateFascicles(
 
   GEA_ASSIGN_OR_RETURN(std::vector<core::MinedFascicle> mined,
                        core::Mine(*input, params, out_prefix));
+  // Every output name is checked before the first table is stored.
   std::vector<std::string> names;
-  for (core::MinedFascicle& m : mined) {
-    const std::string name =
-        out_prefix + "_" + std::to_string(names.size() + 1);
+  for (size_t i = 1; i <= mined.size(); ++i) {
+    const std::string name = out_prefix + "_" + std::to_string(i);
     GEA_RETURN_IF_ERROR(CheckNameFree(name, /*replace=*/false));
     GEA_RETURN_IF_ERROR(CheckNameFree(name + "_SUMY", /*replace=*/false));
+    names.push_back(name);
+  }
+  for (size_t i = 0; i < mined.size(); ++i) {
+    core::MinedFascicle& m = mined[i];
+    const std::string& name = names[i];
     m.members.set_name(name);
     m.sumy.set_name(name + "_SUMY");
     std::map<std::string, std::string> op_params = {
@@ -627,15 +630,12 @@ Result<std::vector<std::string>> AnalysisSession::CalculateFascicles(
         {"min_size", std::to_string(min_size)},
         {"members", std::to_string(m.fascicle.members.size())},
     };
-    enums_.emplace(name, std::make_shared<const core::EnumTable>(
-                             std::move(m.members)));
-    sumys_.emplace(name + "_SUMY", std::make_shared<const core::SumyTable>(
-                                       std::move(m.sumy)));
+    Store(enums_, name, std::move(m.members));
+    Store(sumys_, name + "_SUMY", std::move(m.sumy));
     RecordLineage(name, lineage::NodeKind::kFascicle, "fascicles",
                   op_params, {dataset_name});
     RecordLineage(name + "_SUMY", lineage::NodeKind::kSumy, "aggregate",
                   {}, {name});
-    names.push_back(name);
   }
   GEA_RETURN_IF_ERROR(WalOp(
       "fascicles",
@@ -718,15 +718,10 @@ Result<AnalysisSession::ControlGroups> AnalysisSession::FormControlGroups(
   GEA_ASSIGN_OR_RETURN(core::SumyTable opposite_sumy,
                        core::Aggregate(opposite, names.opposite_sumy));
 
-  enums_.emplace(names.not_in_fas_enum, std::make_shared<const core::EnumTable>(
-                                            std::move(not_in_fas)));
-  enums_.emplace(names.opposite_enum, std::make_shared<const core::EnumTable>(
-                                          std::move(opposite)));
-  sumys_.emplace(names.not_in_fas_sumy,
-                 std::make_shared<const core::SumyTable>(
-                     std::move(not_in_fas_sumy)));
-  sumys_.emplace(names.opposite_sumy, std::make_shared<const core::SumyTable>(
-                                          std::move(opposite_sumy)));
+  Store(enums_, names.not_in_fas_enum, std::move(not_in_fas));
+  Store(enums_, names.opposite_enum, std::move(opposite));
+  Store(sumys_, names.not_in_fas_sumy, std::move(not_in_fas_sumy));
+  Store(sumys_, names.opposite_sumy, std::move(opposite_sumy));
 
   RecordLineage(names.not_in_fas_enum, lineage::NodeKind::kEnum,
                 "control_group", {{"state", state_tag}},
@@ -755,8 +750,7 @@ Status AnalysisSession::Aggregate(const std::string& enum_name,
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, replace));
     GEA_ASSIGN_OR_RETURN(core::SumyTable sumy,
                          core::Aggregate(*input, out_name));
-    sumys_.emplace(out_name,
-                   std::make_shared<const core::SumyTable>(std::move(sumy)));
+    Store(sumys_, out_name, std::move(sumy));
     RecordLineage(out_name, lineage::NodeKind::kSumy, "aggregate", {},
                   {enum_name});
     return WalOp("aggregate", {{"enum", enum_name},
@@ -778,8 +772,7 @@ Status AnalysisSession::Populate(const std::string& sumy_name,
     core::PopulateEngine engine(*base);
     GEA_ASSIGN_OR_RETURN(core::EnumTable populated,
                          engine.Populate(*sumy, out_name));
-    enums_.emplace(out_name, std::make_shared<const core::EnumTable>(
-                                 std::move(populated)));
+    Store(enums_, out_name, std::move(populated));
     RecordLineage(out_name, lineage::NodeKind::kEnum, "populate",
                   {{"sumy", sumy_name}, {"base", base_enum}},
                   {sumy_name, base_enum});
@@ -805,8 +798,7 @@ Status AnalysisSession::CreateGap(const std::string& sumy1_name,
     GEA_RETURN_IF_ERROR(CheckNameFree(gap_name, replace));
     GEA_ASSIGN_OR_RETURN(core::GapTable gap,
                          core::Diff(*sumy1, *sumy2, gap_name));
-    gaps_.emplace(gap_name,
-                  std::make_shared<const core::GapTable>(std::move(gap)));
+    Store(gaps_, gap_name, std::move(gap));
     RecordLineage(gap_name, lineage::NodeKind::kGap, "diff",
                   {{"sumy1", sumy1_name}, {"sumy2", sumy2_name}},
                   {sumy1_name, sumy2_name});
@@ -828,8 +820,7 @@ Result<std::string> AnalysisSession::CalculateTopGap(
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, /*replace=*/true));
     GEA_ASSIGN_OR_RETURN(core::GapTable top,
                          core::TopGap(*gap, x, mode, out_name));
-    gaps_.emplace(out_name,
-                  std::make_shared<const core::GapTable>(std::move(top)));
+    Store(gaps_, out_name, std::move(top));
     RecordLineage(out_name, lineage::NodeKind::kTopGap, "top_gap",
                   {{"x", std::to_string(x)}, {"mode", TopGapModeName(mode)}},
                   {gap_name});
@@ -856,8 +847,7 @@ Status AnalysisSession::CompareGapTables(const std::string& gap_a,
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, replace));
     GEA_ASSIGN_OR_RETURN(core::GapTable compared,
                          core::CompareGaps(*a, *b, kind, out_name));
-    gaps_.emplace(out_name,
-                  std::make_shared<const core::GapTable>(std::move(compared)));
+    Store(gaps_, out_name, std::move(compared));
     RecordLineage(out_name, lineage::NodeKind::kCompareGap,
                   core::GapCompareKindName(kind), {}, {gap_a, gap_b});
     return WalOp("compare_gaps",
@@ -882,8 +872,7 @@ Status AnalysisSession::RunGapQuery(const std::string& compared_name,
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, replace));
     GEA_ASSIGN_OR_RETURN(core::GapTable result,
                          core::ApplyGapQuery(*compared, query, out_name));
-    gaps_.emplace(out_name,
-                  std::make_shared<const core::GapTable>(std::move(result)));
+    Store(gaps_, out_name, std::move(result));
     RecordLineage(out_name, lineage::NodeKind::kGap, "gap_query",
                   {{"query", core::GapCompareQueryDescription(query)}},
                   {compared_name});

@@ -464,10 +464,20 @@ class AnalysisSession {
   /// Sets the data set and rebuilds the auxiliary relations without
   /// touching the lineage graph.
   Status InstallDataSet(sage::SageDataSet dataset);
-  /// The Section 4.4.5.2 redundancy check over the shared namespace.
-  Status CheckNameFree(const std::string& name, bool replace);
+  /// The Section 4.4.5.2 redundancy check over the shared namespace. It
+  /// drops nothing: Store() replaces the old table.
+  Status CheckNameFree(const std::string& name, bool replace) const;
   /// Removes `name` from whichever registry holds it.
   void DropObject(const std::string& name);
+  /// Stores an operation's output under `name`, dropping the table that
+  /// held it. Called once nothing can fail, so a failed write changes
+  /// nothing.
+  template <typename T>
+  void Store(std::map<std::string, std::shared_ptr<const T>>& registry,
+             const std::string& name, T table) {
+    DropObject(name);
+    registry.emplace(name, std::make_shared<const T>(std::move(table)));
+  }
   /// Registers a lineage node, ignoring duplicate-name errors after
   /// replace-drops.
   void RecordLineage(const std::string& name, lineage::NodeKind kind,

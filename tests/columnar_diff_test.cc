@@ -5,8 +5,8 @@
 // only) and the batch kernels, over randomized seeded datasets of
 // varying tag cardinality and null density, at 1/2/8 threads — and
 // require *bit-identical* tables every time. The comparisons go through
-// the binary row codec, which serializes doubles by bit pattern, so a
-// single ULP of drift anywhere fails the battery.
+// the canonical table codec, which serializes doubles by bit pattern, so
+// a single ULP of drift anywhere fails the battery.
 //
 // Labelled "parallel": the 2- and 8-thread legs exercise ParallelFor
 // with real pool helpers and are TSan targets.
@@ -49,8 +49,8 @@ uint64_t Bits(double v) {
   return b;
 }
 
-// Bit-exact table equality via the row codec (doubles encode as their
-// bit patterns, so this is exact, not tolerance-based).
+// Bit-exact table equality via the canonical table codec (doubles encode
+// as their bit patterns, so this is exact, not tolerance-based).
 void ExpectBitIdentical(const rel::Table& a, const rel::Table& b,
                         const char* what) {
   EXPECT_EQ(store::EncodeTable(a), store::EncodeTable(b)) << what;

@@ -2,8 +2,8 @@
 // single-node execution: the same workload runs against one full session
 // and against a router over 1/2/4 tag-sharded workers, at operator
 // thread counts 1/2/8, and every fetched relation must come back
-// byte-identical under the binary row codec — row order, null placement
-// and string-dictionary construction included. Plus unit tests for the
+// byte-identical under the canonical table codec — row order and null
+// placement included. Plus unit tests for the
 // gather-side merge and the router's non-routable-command fences.
 
 #include <gtest/gtest.h>

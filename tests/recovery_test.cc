@@ -199,6 +199,58 @@ TEST(RecoveryTest, DoubleAttachFails) {
       session->OpenStorage(FreshDir("attach2")).IsFailedPrecondition());
 }
 
+// ---------- failed writes ----------
+
+TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
+  std::string dir = FreshDir("failed_writes");
+  std::unique_ptr<AnalysisSession> live = NewAdminSession();
+  ASSERT_TRUE(live->OpenStorage(dir).ok());
+  // A failing write changes neither the writer's catalog nor the
+  // readers' epoch.
+  auto failing_write = [&live](const std::function<Status()>& write) {
+    const std::vector<std::string> tables = live->TableNames();
+    const std::vector<std::string> published = live->SnapshotTableNames();
+    EXPECT_FALSE(write().ok());
+    EXPECT_EQ(live->TableNames(), tables);
+    EXPECT_EQ(live->SnapshotTableNames(), published);
+  };
+
+  ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
+  ASSERT_TRUE(live->CreateCustomDataSet("X", {1, 2, 3}).ok());
+  failing_write([&] {
+    return live->CreateCustomDataSet("X", {999999}, /*replace=*/true);
+  });
+
+  ASSERT_TRUE(live->Aggregate("X", "XS").ok());
+  ASSERT_TRUE(live->Aggregate("brain", "BS").ok());
+  ASSERT_TRUE(live->CreateGap("BS", "XS", "G").ok());
+  ASSERT_TRUE(live->CreateGap("XS", "BS", "G_0").ok());
+  ASSERT_TRUE(live->CalculateTopGap("G", 5).ok());
+  failing_write([&] { return live->CalculateTopGap("G", 0).status(); });
+
+  // Mining stores nothing when a later fascicle's name is taken.
+  ASSERT_TRUE(live->GenerateMetadata("brain", 25.0, "meta").ok());
+  Result<std::vector<std::string>> mined =
+      live->CalculateFascicles("brain", "meta", 150, 6, 3, "M");
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  ASSERT_GE(mined->size(), 2u);
+  ASSERT_TRUE(live->CreateCustomDataSet("F_2", {4, 5}).ok());
+  failing_write([&] {
+    return live->CalculateFascicles("brain", "meta", 150, 6, 3, "F").status();
+  });
+
+  ASSERT_TRUE(live->Aggregate("X", "XS2").ok());
+  ASSERT_TRUE(live->GetGap("G_0").ok());
+
+  const auto live_fingerprint = Fingerprint(*live, "failed_live");
+  ASSERT_TRUE(live->CloseStorage().ok());
+  live.reset();
+  std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
+  ASSERT_TRUE(recovered->OpenStorage(dir).ok());
+  EXPECT_EQ(Fingerprint(*recovered, "failed_recovered"), live_fingerprint);
+}
+
 // ---------- the kill-point matrix ----------
 
 class KillPointMatrixTest

@@ -1,13 +1,18 @@
 // Tests for the query service: wire-protocol codecs and framing (torn
 // frames, CRC corruption, oversized payloads), per-connection
 // authentication, admission control (queue-full backpressure, deadline
-// expiry) and the gea_stat_serve view.
+// expiry), replies too large for a frame, reader-thread reaping and the
+// gea_stat_serve view.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,10 +78,20 @@ TEST(ProtocolTest, ErrorResponseCarriesCodeAndMessage) {
 TEST(ProtocolTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeRequest("not a request").ok());
   EXPECT_FALSE(DecodeResponse("").ok());
-  // Wrong version byte.
-  std::string payload = EncodeRequest(Request{});
-  payload[0] = 99;
-  EXPECT_FALSE(DecodeRequest(payload).ok());
+}
+
+TEST(ProtocolTest, DecodersAcceptOnlyTheProtocolVersion) {
+  std::string request = EncodeRequest(Request{});
+  std::string response = EncodeResponse(Response{});
+  ASSERT_TRUE(DecodeRequest(request).ok());
+  ASSERT_TRUE(DecodeResponse(response).ok());
+  for (int version = 0; version < 256; ++version) {
+    if (version == kProtocolVersion) continue;
+    request[0] = static_cast<char>(version);
+    response[0] = static_cast<char>(version);
+    EXPECT_FALSE(DecodeRequest(request).ok()) << "version " << version;
+    EXPECT_FALSE(DecodeResponse(response).ok()) << "version " << version;
+  }
 }
 
 TEST(ProtocolTest, UnknownWireStatusCodeRejected) {
@@ -87,7 +102,7 @@ TEST(ProtocolTest, UnknownWireStatusCodeRejected) {
   EXPECT_EQ(*deadline, StatusCode::kDeadlineExceeded);
 }
 
-// ---------- Trace context & stage timing (protocol v2) ----------
+// ---------- Trace context & stage timing ----------
 
 TEST(ProtocolTest, RequestTraceContextRoundTrip) {
   Request request;
@@ -100,7 +115,6 @@ TEST(ProtocolTest, RequestTraceContextRoundTrip) {
 
   Result<Request> decoded = DecodeRequest(EncodeRequest(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->wire_version, kProtocolVersion);
   ASSERT_TRUE(decoded->trace.has_value());
   EXPECT_EQ(decoded->trace->trace_id, 0xdeadbeefcafeu);
   EXPECT_TRUE(decoded->trace->sampled);
@@ -110,61 +124,6 @@ TEST(ProtocolTest, RequestTraceContextRoundTrip) {
   decoded = DecodeRequest(EncodeRequest(request));
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded->trace.has_value());
-}
-
-TEST(ProtocolTest, Version1RequestStillDecodes) {
-  // A v1 frame hand-rolled byte by byte: it ends right after the params
-  // block, with no trace flag.
-  std::string payload;
-  store::PutU8(&payload, 1);
-  store::PutU64(&payload, 77);   // request_id
-  store::PutU32(&payload, 125);  // deadline_ms
-  store::PutString(&payload, "aggregate");
-  store::PutU32(&payload, 1);  // nparams
-  store::PutString(&payload, "enum");
-  store::PutString(&payload, "Brain");
-
-  Result<Request> decoded = DecodeRequest(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->wire_version, 1);
-  EXPECT_EQ(decoded->request_id, 77u);
-  EXPECT_EQ(decoded->deadline_ms, 125u);
-  EXPECT_EQ(decoded->op, "aggregate");
-  EXPECT_FALSE(decoded->trace.has_value());
-}
-
-TEST(ProtocolTest, Version1ResponseStillDecodes) {
-  // v1 responses end right after the table block.
-  std::string payload;
-  store::PutU8(&payload, 1);
-  store::PutU64(&payload, 77);  // request_id
-  store::PutU8(&payload, 0);    // status: OK
-  store::PutString(&payload, "");
-  store::PutString(&payload, "pong");
-  store::PutU8(&payload, 0);  // has_table
-
-  Result<Response> decoded = DecodeResponse(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->wire_version, 1);
-  EXPECT_EQ(decoded->text, "pong");
-  EXPECT_EQ(decoded->trace_id, 0u);
-  EXPECT_FALSE(decoded->timing.has_value());
-}
-
-TEST(ProtocolTest, ServerEncodesInRequestersVersion) {
-  Response response;
-  response.request_id = 9;
-  response.text = "pong";
-  response.trace_id = 1234;
-  response.wire_version = 1;
-  // v1 encoding drops the trace/timing tail entirely.
-  std::string payload = EncodeResponse(response);
-  EXPECT_EQ(static_cast<uint8_t>(payload[0]), 1);
-  Result<Response> decoded = DecodeResponse(payload);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->wire_version, 1);
-  EXPECT_EQ(decoded->trace_id, 0u);
-  EXPECT_FALSE(decoded->timing.has_value());
 }
 
 TEST(ProtocolTest, PatchResponseTimingStampsTrailingBlock) {
@@ -206,17 +165,8 @@ TEST(ProtocolTest, PatchResponseTimingRefusesNonTimingPayloads) {
   EXPECT_FALSE(PatchResponseTiming(&payload, timing));
   EXPECT_EQ(payload, before);
 
-  // v1 payloads never carry one.
-  Response v1;
-  v1.wire_version = 1;
-  v1.timing.emplace();
-  payload = EncodeResponse(v1);
-  before = payload;
-  EXPECT_FALSE(PatchResponseTiming(&payload, timing));
-  EXPECT_EQ(payload, before);
-
   // Too short to hold the block at all.
-  std::string tiny = "\x02";
+  std::string tiny = "\x03";
   EXPECT_FALSE(PatchResponseTiming(&tiny, timing));
 }
 
@@ -561,6 +511,83 @@ TEST_F(ServeTest, GracefulStopDeliversInFlightResponses) {
   // Stop is idempotent and the port is released.
   server.Stop();
   EXPECT_EQ(server.Port(), 0);
+}
+
+TEST_F(ServeTest, OversizedReplyIsAnsweredWithAnError) {
+  auto session = MakeSession();
+  QueryServer server(session.get());
+  QueryServer::HandlerSpec spec;
+  spec.needs_auth = false;
+  server.RegisterHandler("huge", spec, [](const Request&) {
+    Response response;
+    response.text.assign(17u << 20, 'x');  // over the 16 MiB frame cap
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.Port()).ok());
+  // Bounded wait: a server that never answers fails the test instead of
+  // hanging it.
+  std::future<Result<Response>> call = std::async(
+      std::launch::async, [&client] { return client.Call("huge"); });
+  if (call.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    server.Stop();  // closes the connection, which ends the blocked call
+    call.wait();
+    FAIL() << "the oversized reply was never answered";
+  }
+  Result<Response> reply = call.get();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->code, StatusCode::kResourceExhausted);
+  EXPECT_NE(reply->message.find(std::to_string(kMaxPayloadBytes)),
+            std::string::npos)
+      << reply->message;
+  EXPECT_EQ(server.GetStats().errors, 1u);
+  // The connection stays open for the next request.
+  EXPECT_TRUE(client.Ping().ok());
+  server.Stop();
+}
+
+// One numeric field of /proc/self/status ("Threads", or "VmSize" in kB).
+long ProcStatusField(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return std::strtol(line.c_str() + key.size() + 1, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirReaderThreads) {
+  auto session = MakeSession();
+  QueryServer server(session.get());
+  ASSERT_TRUE(server.Start().ok());
+  const long idle_threads = ProcStatusField("Threads");
+  ASSERT_GT(idle_threads, 0);
+  // One connection at a time, each waiting (bounded) for its reader to
+  // exit, so the next reader reuses the allocator arena the last one
+  // released instead of reserving a new one: arenas count in VmSize too.
+  auto cycle = [&] {
+    QueryClient client;
+    ASSERT_TRUE(client.Connect(server.Port()).ok());
+    ASSERT_TRUE(client.Ping().ok());
+    client.Close();
+    for (int i = 0; i < 1000 && ProcStatusField("Threads") > idle_threads;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  for (int i = 0; i < 20; ++i) cycle();  // warms the thread-stack cache
+  const long vm_kb_before = ProcStatusField("VmSize");
+  ASSERT_GT(vm_kb_before, 0);
+
+  for (int i = 0; i < 200; ++i) cycle();
+  EXPECT_LE(ProcStatusField("Threads"), idle_threads + 2);
+  // An unjoined reader keeps its whole stack mapped (8 MiB by default).
+  EXPECT_LT(ProcStatusField("VmSize") - vm_kb_before, 64 * 1024);
+  server.Stop();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -58,8 +59,8 @@ TEST(FormatTest, PrimitivesRoundTrip) {
   PutU8(&buf, 0xAB);
   PutU32(&buf, 0xDEADBEEF);
   PutU64(&buf, 0x0123456789ABCDEFull);
-  PutI64(&buf, -42);
-  PutF64(&buf, 3.14159);
+  PutU64(&buf, static_cast<uint64_t>(int64_t{-42}));
+  PutU64(&buf, std::bit_cast<uint64_t>(3.14159));
   PutString(&buf, "hello\0world");  // embedded NUL is cut by the literal,
   PutString(&buf, std::string("a\0b", 3));  // so also test an explicit one
 
