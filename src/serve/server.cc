@@ -452,7 +452,8 @@ void QueryServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
     if (!request.ok()) {
       // The frame was intact but the payload is not a request we
       // understand; tell the client, then drop the stream.
-      (void)WriteResponse(*conn, ErrorResponse(0, request.status()));
+      Response error = ErrorResponse(0, request.status());
+      (void)WriteResponse(*conn, error);
       break;
     }
 
@@ -505,12 +506,12 @@ void QueryServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
     stats_->rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
     RequestsCounter().Add(1);
     RejectedQueueFullCounter().Add(1);
-    (void)WriteResponse(
-        *conn, ErrorResponse(task.request.request_id,
-                             Status::ResourceExhausted(
-                                 "admission queue full (capacity " +
-                                 std::to_string(options_.queue_capacity) +
-                                 "); retry later")));
+    Response rejected = ErrorResponse(
+        task.request.request_id,
+        Status::ResourceExhausted("admission queue full (capacity " +
+                                  std::to_string(options_.queue_capacity) +
+                                  "); retry later"));
+    (void)WriteResponse(*conn, rejected);
   }
   stats_->connections.fetch_add(-1, std::memory_order_relaxed);
   ConnectionsGauge().Add(-1);
@@ -643,7 +644,7 @@ void QueryServer::PublishTrace(Task& task, const Response& response,
   obs::RequestTraceRing::Global().Publish(std::move(record));
 }
 
-Status QueryServer::WriteResponse(Connection& conn, const Response& response,
+Status QueryServer::WriteResponse(Connection& conn, Response& response,
                                   obs::StageNanos* stages,
                                   const obs::MemoryAccount* account) {
   const uint64_t encode_start = stages != nullptr ? obs::NowNanos() : 0;
@@ -658,7 +659,8 @@ Status QueryServer::WriteResponse(Connection& conn, const Response& response,
             std::to_string(kMaxPayloadBytes) + " bytes"));
     refused.trace_id = response.trace_id;
     refused.timing = response.timing;
-    payload = EncodeResponse(refused);
+    response = std::move(refused);
+    payload = EncodeResponse(response);
     stats_->errors.fetch_add(1, std::memory_order_relaxed);
     ErrorsCounter().Add(1);
   }

@@ -229,9 +229,10 @@ class QueryServer {
   /// and write stages into it and patches the response's wire timing
   /// block (when present) before framing; `account` supplies the
   /// memory-accounting fields of that block. A response too large for
-  /// one frame is replaced by a RESOURCE_EXHAUSTED error carrying the
-  /// same request id, so the client is answered either way.
-  Status WriteResponse(Connection& conn, const Response& response,
+  /// one frame is replaced, in `response` too, by a RESOURCE_EXHAUSTED
+  /// error carrying the same request id, so the client is answered either
+  /// way and the trace ring records the status the client received.
+  Status WriteResponse(Connection& conn, Response& response,
                        obs::StageNanos* stages = nullptr,
                        const obs::MemoryAccount* account = nullptr);
   /// Publishes the finished request into the global trace ring when it

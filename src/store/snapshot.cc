@@ -129,6 +129,13 @@ Result<SnapshotImage> DecodeSnapshot(std::string_view data) {
   if (data.size() - kHeaderBytes != payload_bytes) {
     return Status::InvalidArgument("snapshot payload length mismatch");
   }
+  // Every section takes at least its 8 framing bytes, so a count the
+  // payload cannot hold is refused before anything is reserved for it.
+  if (section_count > payload_bytes / 8) {
+    return Status::InvalidArgument("snapshot section count " +
+                                   std::to_string(section_count) +
+                                   " exceeds its payload");
+  }
 
   SnapshotImage image;
   image.sections.reserve(section_count);

@@ -78,10 +78,9 @@ SnapshotPin& SnapshotPin::operator=(SnapshotPin&& other) noexcept {
 }
 
 EpochManager::EpochManager()
-    : pinned_(std::make_shared<std::atomic<int64_t>>(0)) {
+    : current_(std::make_shared<const CatalogSnapshot>()),
+      pinned_(std::make_shared<std::atomic<int64_t>>(0)) {
   RegisterTransactionStatView();
-  current_.store(std::make_shared<const CatalogSnapshot>(),
-                 std::memory_order_release);
   std::lock_guard<std::mutex> lock(RegistryMutex());
   Registry().insert(this);
 }
@@ -91,19 +90,29 @@ EpochManager::~EpochManager() {
   Registry().erase(this);
 }
 
+std::shared_ptr<const CatalogSnapshot> EpochManager::Current() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return current_;
+}
+
 SnapshotPin EpochManager::Pin() const {
-  return SnapshotPin(current_.load(std::memory_order_acquire), pinned_);
+  return SnapshotPin(Current(), pinned_);
 }
 
 uint64_t EpochManager::Publish(CatalogSnapshot next) {
-  const std::shared_ptr<const CatalogSnapshot> prev =
-      current_.load(std::memory_order_acquire);
+  const std::shared_ptr<const CatalogSnapshot> prev = Current();
   next.epoch = prev->epoch + 1;
   const uint64_t epoch = next.epoch;
   const uint64_t retired = RetiredBytes(*prev, next);
 
-  current_.store(std::make_shared<const CatalogSnapshot>(std::move(next)),
-                 std::memory_order_release);
+  std::shared_ptr<const CatalogSnapshot> published =
+      std::make_shared<const CatalogSnapshot>(std::move(next));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(published);
+  }
+  // `published` and `prev` now hold the superseded snapshot. Dropping
+  // them here, outside the lock, frees it unless a pin still holds it.
 
   published_.fetch_add(1, std::memory_order_relaxed);
   retired_bytes_.fetch_add(retired, std::memory_order_relaxed);
@@ -119,9 +128,7 @@ uint64_t EpochManager::Publish(CatalogSnapshot next) {
   return epoch;
 }
 
-uint64_t EpochManager::CurrentEpoch() const {
-  return current_.load(std::memory_order_acquire)->epoch;
-}
+uint64_t EpochManager::CurrentEpoch() const { return Current()->epoch; }
 
 std::vector<EpochManagerStats> LiveEpochManagerStats() {
   std::lock_guard<std::mutex> lock(RegistryMutex());

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -49,12 +50,17 @@ class SnapshotPin {
   std::shared_ptr<std::atomic<int64_t>> pinned_;
 };
 
-/// Publishes immutable CatalogSnapshot versions through one atomic
-/// pointer swap and hands out pins on the current one.
+/// Publishes immutable CatalogSnapshot versions through one pointer swap
+/// and hands out pins on the current one.
 ///
 /// Concurrency contract:
-///   - Pin() is wait-free for any number of concurrent readers (one
-///     atomic shared_ptr load + a relaxed gauge increment).
+///   - The current pointer sits under a mutex held only to copy or swap
+///     it: Pin() is one shared_ptr copy under the lock plus a relaxed
+///     gauge increment, and Publish() builds the new snapshot and drops
+///     the old one outside the lock, so a reader never waits behind a
+///     snapshot's construction or destruction. (libstdc++'s
+///     std::atomic<std::shared_ptr> load unlocks its internal spin lock
+///     with a relaxed store, which ThreadSanitizer reports as a race.)
 ///   - Publish() is called by at most one writer at a time (the session
 ///     serializes writers externally); it stamps the next epoch number,
 ///     swaps the pointer, and accounts the bytes the superseded snapshot
@@ -97,7 +103,10 @@ class EpochManager {
   }
 
  private:
-  std::atomic<std::shared_ptr<const CatalogSnapshot>> current_;
+  std::shared_ptr<const CatalogSnapshot> Current() const;
+
+  mutable std::mutex mu_;  // guards current_
+  std::shared_ptr<const CatalogSnapshot> current_;
   std::shared_ptr<std::atomic<int64_t>> pinned_;
   std::atomic<uint64_t> published_{0};
   std::atomic<uint64_t> retired_bytes_{0};

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 
-#include "core/serialization.h"
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/request_trace.h"
@@ -12,11 +10,64 @@
 #include "obs/server.h"
 #include "obs/timeseries.h"
 #include "rel/sql.h"
-#include "rel/table_io.h"
-#include "sage/io.h"
 #include "sage/stats.h"
 
 namespace gea::workbench {
+
+namespace {
+
+/// The catalog of a session with nothing loaded. Stat views ride in every
+/// catalog so SQL can read telemetry:
+///   SELECT name, value FROM gea_stat_counters ORDER BY value DESC
+txn::CatalogSnapshot EmptyCatalog() {
+  rel::Catalog relations;
+  obs::RegisterStatViews(relations);
+  txn::CatalogSnapshot catalog;
+  catalog.relations =
+      std::make_shared<const rel::Catalog>(std::move(relations));
+  return catalog;
+}
+
+/// Removes `name` from whichever of `catalog`'s table maps holds it.
+void DropObject(txn::CatalogSnapshot& catalog, const std::string& name) {
+  catalog.enums.erase(name);
+  catalog.sumys.erase(name);
+  catalog.gaps.erase(name);
+}
+
+/// Stores an operation's output under `name` in `registry`, one of
+/// `catalog`'s table maps, dropping the table that held the name.
+template <typename T>
+void Store(txn::CatalogSnapshot& catalog,
+           std::map<std::string, std::shared_ptr<const T>>& registry,
+           const std::string& name, T table) {
+  DropObject(catalog, name);
+  registry.emplace(name, std::make_shared<const T>(std::move(table)));
+}
+
+/// The table `name` of `registry`, borrowed from the catalog holding it.
+template <typename T>
+Result<const T*> Lookup(
+    const std::map<std::string, std::shared_ptr<const T>>& registry,
+    const std::string& kind, const std::string& name) {
+  auto it = registry.find(name);
+  if (it == registry.end()) {
+    return Status::NotFound("no such " + kind + " table: " + name);
+  }
+  return it->second.get();
+}
+
+/// WAL parameter renderings; replay parses these back with strtod /
+/// string compare, so doubles use a round-trip-exact format.
+std::string WalDouble(double v) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  return buffer;
+}
+
+const char* WalBool(bool v) { return v ? "1" : "0"; }
+
+}  // namespace
 
 AnalysisSession::AnalysisSession(const std::string& admin_name,
                                  const std::string& admin_password)
@@ -28,12 +79,8 @@ AnalysisSession::AnalysisSession(const std::string& admin_name,
   // Opt-in telemetry harvesting: a no-op unless GEA_STATS_INTERVAL_MS
   // names a cadence (GEA_WATCHDOG_MS additionally arms the watchdog).
   obs::StartHarvesterFromEnv();
-  // Stat views ride in every session's catalog so SQL can read telemetry:
-  //   SELECT name, value FROM gea_stat_counters ORDER BY value DESC
-  obs::RegisterStatViews(relations_);
   // Epoch 1: the empty catalog, so snapshot readers are valid from birth.
-  RefreshRelationsSnapshot();
-  PublishCatalogEpoch();
+  epochs_->Publish(EmptyCatalog());
 }
 
 // ---- Authentication ----
@@ -131,14 +178,17 @@ Result<std::string> AnalysisSession::GetConfiguration(
 
 // ---- Data management ----
 
-Status AnalysisSession::InstallDataSet(sage::SageDataSet dataset) {
-  dataset_ = std::make_shared<const sage::SageDataSet>(std::move(dataset));
-  GEA_RETURN_IF_ERROR(relations_.CreateTable(
-      sage::BuildLibraryInfoTable(*dataset_), /*replace=*/true));
-  GEA_RETURN_IF_ERROR(relations_.CreateTable(
-      sage::BuildTissueTypeTable(*dataset_), /*replace=*/true));
-  GEA_RETURN_IF_ERROR(relations_.CreateTable(
-      sage::BuildSageInfoTable(*dataset_), /*replace=*/true));
+Status AnalysisSession::InstallDataSet(txn::CatalogSnapshot& catalog,
+                                       sage::SageDataSet dataset) {
+  catalog.dataset =
+      std::make_shared<const sage::SageDataSet>(std::move(dataset));
+  rel::Catalog relations = catalog.relations->Clone();
+  GEA_RETURN_IF_ERROR(relations.CreateTable(
+      sage::BuildLibraryInfoTable(*catalog.dataset), /*replace=*/true));
+  GEA_RETURN_IF_ERROR(relations.CreateTable(
+      sage::BuildTissueTypeTable(*catalog.dataset), /*replace=*/true));
+  GEA_RETURN_IF_ERROR(relations.CreateTable(
+      sage::BuildSageInfoTable(*catalog.dataset), /*replace=*/true));
   // The rotated TAGS view (Section 4.6.1) is registered computed, so it
   // is rebuilt per query and — like the stat views — skipped by
   // snapshots, SaveDatabase and the WAL. Its rows are tag-ascending,
@@ -146,326 +196,53 @@ Status AnalysisSession::InstallDataSet(sage::SageDataSet dataset) {
   // partition by tag and merge back losslessly (src/dist). The builder
   // shares the immutable data set: the catalog outlives moves of this
   // session, so it must not dereference `this`.
-  GEA_RETURN_IF_ERROR(relations_.RegisterComputed(
+  GEA_RETURN_IF_ERROR(relations.RegisterComputed(
       "TAGS",
-      [data = dataset_]() { return sage::BuildTagsTable(*data); },
+      [data = catalog.dataset]() { return sage::BuildTagsTable(*data); },
       /*replace=*/true));
-  RefreshRelationsSnapshot();
+  catalog.relations =
+      std::make_shared<const rel::Catalog>(std::move(relations));
   return Status::OK();
 }
 
 Status AnalysisSession::LoadDataSet(sage::SageDataSet dataset) {
   GEA_RETURN_IF_ERROR(RequireLogin());
   GEA_RETURN_IF_ERROR(RequireWritable());
-  GEA_RETURN_IF_ERROR(InstallDataSet(std::move(dataset)));
+  txn::CatalogSnapshot next = WorkingCopy();
+  GEA_RETURN_IF_ERROR(InstallDataSet(next, std::move(dataset)));
   RecordLineage("SAGE", lineage::NodeKind::kDataSet, "load",
-                {{"libraries", std::to_string(dataset_->NumLibraries())}},
+                {{"libraries", std::to_string(next.dataset->NumLibraries())}},
                 {});
-  return WalLogDataSet();
+  return WalDataSet(std::move(next));
 }
 
 Status AnalysisSession::InitializeDatabase() {
   GEA_RETURN_IF_ERROR(RequireAdmin());
   GEA_RETURN_IF_ERROR(RequireWritable());
-  relations_.Initialize();
-  obs::RegisterStatViews(relations_);  // Initialize() dropped the views
-  enums_.clear();
-  sumys_.clear();
-  gaps_.clear();
-  metadata_.clear();
-  dataset_.reset();
   lineage_ = lineage::LineageGraph();
-  RefreshRelationsSnapshot();
-  return WalOp("initialize", {});
+  return WalOp(EmptyCatalog(), "initialize", {});
 }
 
 Result<const sage::SageDataSet*> AnalysisSession::DataSet() const {
-  if (dataset_ == nullptr) {
+  const sage::SageDataSet* dataset = PinSnapshot()->dataset.get();
+  if (dataset == nullptr) {
     return Status::FailedPrecondition("no SAGE data set is loaded");
   }
-  return dataset_.get();
-}
-
-namespace {
-
-namespace fs = std::filesystem;
-
-Status EnsureDirectory(const std::string& path) {
-  std::error_code ec;
-  fs::create_directories(path, ec);
-  if (ec) {
-    return Status::IoError("cannot create directory: " + path);
-  }
-  return Status::OK();
-}
-
-/// WAL parameter renderings; replay parses these back with strtod /
-/// string compare, so doubles use a round-trip-exact format.
-std::string WalDouble(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-const char* WalBool(bool v) { return v ? "1" : "0"; }
-
-/// Table names double as file names; refuse path-breaking characters.
-Status CheckFileSafe(const std::string& name) {
-  if (name.find('/') != std::string::npos ||
-      name.find('\\') != std::string::npos || name.empty() ||
-      name[0] == '.') {
-    return Status::InvalidArgument("table name is not file-safe: " + name);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status AnalysisSession::SaveDatabase(const std::string& directory) const {
-  GEA_RETURN_IF_ERROR(RequireLogin());
-  GEA_RETURN_IF_ERROR(EnsureDirectory(directory));
-
-  if (dataset_ != nullptr) {
-    GEA_RETURN_IF_ERROR(sage::SaveDataSet(*dataset_, directory + "/sage"));
-  }
-
-  // Manifest: every derived object with its kind.
-  rel::Table manifest("Manifest",
-                      rel::Schema({{"Name", rel::ValueType::kString},
-                                   {"Kind", rel::ValueType::kString}}));
-
-  GEA_RETURN_IF_ERROR(EnsureDirectory(directory + "/enums"));
-  for (const auto& [name, table] : enums_) {
-    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
-    GEA_RETURN_IF_ERROR(rel::SaveTable(
-        table->ToRelTable(), directory + "/enums/" + name + ".csv"));
-    GEA_RETURN_IF_ERROR(rel::SaveTable(
-        core::EnumLibrariesToRelTable(*table, name + "_libs"),
-        directory + "/enums/" + name + ".libs.csv"));
-    manifest.AppendRowUnchecked(
-        {rel::Value::String(name), rel::Value::String("enum")});
-  }
-  GEA_RETURN_IF_ERROR(EnsureDirectory(directory + "/sumys"));
-  for (const auto& [name, table] : sumys_) {
-    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
-    GEA_RETURN_IF_ERROR(rel::SaveTable(
-        table->ToRelTable(), directory + "/sumys/" + name + ".csv"));
-    manifest.AppendRowUnchecked(
-        {rel::Value::String(name), rel::Value::String("sumy")});
-  }
-  GEA_RETURN_IF_ERROR(EnsureDirectory(directory + "/gaps"));
-  for (const auto& [name, table] : gaps_) {
-    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
-    GEA_RETURN_IF_ERROR(rel::SaveTable(
-        table->ToRelTable(), directory + "/gaps/" + name + ".csv"));
-    manifest.AppendRowUnchecked(
-        {rel::Value::String(name), rel::Value::String("gap")});
-  }
-
-  // Stored auxiliary relations. Computed tables (the gea_stat_* telemetry
-  // views) are live materializations, not data — persisting one would
-  // freeze a counter sample into the database and shadow the real view on
-  // reload, so they are skipped.
-  GEA_RETURN_IF_ERROR(EnsureDirectory(directory + "/relations"));
-  for (const std::string& name : relations_.TableNames()) {
-    if (relations_.IsComputed(name)) continue;
-    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
-    GEA_ASSIGN_OR_RETURN(const rel::Table* table, relations_.GetTable(name));
-    GEA_RETURN_IF_ERROR(
-        rel::SaveTable(*table, directory + "/relations/" + name + ".csv"));
-    manifest.AppendRowUnchecked(
-        {rel::Value::String(name), rel::Value::String("relation")});
-  }
-
-  // Tolerance metadata vectors.
-  GEA_RETURN_IF_ERROR(EnsureDirectory(directory + "/metadata"));
-  for (const auto& [name, tolerances] : metadata_) {
-    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
-    rel::Table table(name,
-                     rel::Schema({{"Index", rel::ValueType::kInt},
-                                  {"Tolerance", rel::ValueType::kDouble}}));
-    for (size_t i = 0; i < tolerances->size(); ++i) {
-      table.AppendRowUnchecked({rel::Value::Int(static_cast<int64_t>(i)),
-                                rel::Value::Double((*tolerances)[i])});
-    }
-    GEA_RETURN_IF_ERROR(
-        rel::SaveTable(table, directory + "/metadata/" + name + ".csv"));
-  }
-
-  // Operation history.
-  lineage::LineageGraph::RelExport history = lineage_.Export();
-  GEA_RETURN_IF_ERROR(
-      rel::SaveTable(history.nodes, directory + "/lineage_nodes.csv"));
-  GEA_RETURN_IF_ERROR(
-      rel::SaveTable(history.params, directory + "/lineage_params.csv"));
-  GEA_RETURN_IF_ERROR(
-      rel::SaveTable(history.edges, directory + "/lineage_edges.csv"));
-
-  return rel::SaveTable(manifest, directory + "/manifest.csv");
-}
-
-Status AnalysisSession::LoadDatabase(const std::string& directory) {
-  GEA_RETURN_IF_ERROR(RequireLogin());
-  GEA_RETURN_IF_ERROR(RequireWritable());
-
-  // Stage everything before touching the session so a bad file leaves the
-  // current state intact.
-  std::optional<sage::SageDataSet> dataset;
-  if (fs::exists(directory + "/sage/sageName.txt")) {
-    GEA_ASSIGN_OR_RETURN(sage::SageDataSet loaded,
-                         sage::LoadDataSet(directory + "/sage"));
-    dataset = std::move(loaded);
-  }
-
-  GEA_ASSIGN_OR_RETURN(
-      rel::Table manifest,
-      rel::LoadTable("Manifest", directory + "/manifest.csv"));
-  std::map<std::string, std::shared_ptr<const core::EnumTable>> enums;
-  std::map<std::string, std::shared_ptr<const core::SumyTable>> sumys;
-  std::map<std::string, std::shared_ptr<const core::GapTable>> gaps;
-  std::vector<rel::Table> stored_relations;
-  for (size_t r1_ = 0; r1_ < manifest.NumRows(); ++r1_) {
-    const rel::Row row = manifest.GetRow(r1_);
-    if (row.size() != 2 || row[0].type() != rel::ValueType::kString ||
-        row[1].type() != rel::ValueType::kString) {
-      return Status::InvalidArgument("malformed manifest row in " + directory);
-    }
-    const std::string& name = row[0].AsString();
-    const std::string& kind = row[1].AsString();
-    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
-    if (kind == "enum") {
-      GEA_ASSIGN_OR_RETURN(
-          rel::Table data,
-          rel::LoadTable(name, directory + "/enums/" + name + ".csv"));
-      GEA_ASSIGN_OR_RETURN(
-          rel::Table libs,
-          rel::LoadTable(name + "_libs",
-                         directory + "/enums/" + name + ".libs.csv"));
-      GEA_ASSIGN_OR_RETURN(core::EnumTable table,
-                           core::EnumFromRelTables(data, libs, name));
-      enums.emplace(name,
-                    std::make_shared<const core::EnumTable>(std::move(table)));
-    } else if (kind == "sumy") {
-      GEA_ASSIGN_OR_RETURN(
-          rel::Table data,
-          rel::LoadTable(name, directory + "/sumys/" + name + ".csv"));
-      GEA_ASSIGN_OR_RETURN(core::SumyTable table,
-                           core::SumyFromRelTable(data, name));
-      sumys.emplace(name,
-                    std::make_shared<const core::SumyTable>(std::move(table)));
-    } else if (kind == "gap") {
-      GEA_ASSIGN_OR_RETURN(
-          rel::Table data,
-          rel::LoadTable(name, directory + "/gaps/" + name + ".csv"));
-      GEA_ASSIGN_OR_RETURN(core::GapTable table,
-                           core::GapFromRelTable(data, name));
-      gaps.emplace(name,
-                   std::make_shared<const core::GapTable>(std::move(table)));
-    } else if (kind == "relation") {
-      GEA_ASSIGN_OR_RETURN(
-          rel::Table data,
-          rel::LoadTable(name, directory + "/relations/" + name + ".csv"));
-      stored_relations.push_back(std::move(data));
-    } else {
-      return Status::InvalidArgument("unknown manifest kind: " + kind);
-    }
-  }
-
-  std::map<std::string, std::shared_ptr<const std::vector<double>>> metadata;
-  if (fs::exists(directory + "/metadata")) {
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(directory + "/metadata")) {
-      if (entry.path().extension() != ".csv") continue;
-      std::string name = entry.path().stem().string();
-      GEA_ASSIGN_OR_RETURN(rel::Table table,
-                           rel::LoadTable(name, entry.path().string()));
-      std::vector<double> tolerances(table.NumRows(), 0.0);
-      for (size_t r2_ = 0; r2_ < table.NumRows(); ++r2_) {
-        const rel::Row row = table.GetRow(r2_);
-        if (row.size() != 2 || row[0].type() != rel::ValueType::kInt ||
-            row[1].type() != rel::ValueType::kDouble) {
-          return Status::InvalidArgument("malformed metadata row in " + name);
-        }
-        size_t index = static_cast<size_t>(row[0].AsInt());
-        if (index >= tolerances.size()) {
-          return Status::InvalidArgument("bad metadata index in " + name);
-        }
-        tolerances[index] = row[1].AsDouble();
-      }
-      metadata.emplace(std::move(name), std::make_shared<const std::vector<double>>(
-                                            std::move(tolerances)));
-    }
-  }
-
-  GEA_ASSIGN_OR_RETURN(
-      rel::Table lnodes,
-      rel::LoadTable("LineageNodes", directory + "/lineage_nodes.csv"));
-  GEA_ASSIGN_OR_RETURN(
-      rel::Table lparams,
-      rel::LoadTable("LineageParams", directory + "/lineage_params.csv"));
-  GEA_ASSIGN_OR_RETURN(
-      rel::Table ledges,
-      rel::LoadTable("LineageEdges", directory + "/lineage_edges.csv"));
-  GEA_ASSIGN_OR_RETURN(lineage::LineageGraph history,
-                       lineage::LineageGraph::Import(lnodes, lparams,
-                                                     ledges));
-
-  // Commit. The imported history already holds the SAGE root node, so
-  // the data set is installed without re-recording lineage.
-  enums_ = std::move(enums);
-  sumys_ = std::move(sumys);
-  gaps_ = std::move(gaps);
-  metadata_ = std::move(metadata);
-  lineage_ = std::move(history);
-  relations_.Initialize();
-  obs::RegisterStatViews(relations_);  // Initialize() dropped the views
-  for (rel::Table& table : stored_relations) {
-    GEA_RETURN_IF_ERROR(
-        relations_.CreateTable(std::move(table), /*replace=*/true));
-  }
-  dataset_.reset();
-  if (dataset.has_value()) {
-    // InstallDataSet rebuilds the dataset-derived relations, replacing
-    // the file copies with identical fresh ones.
-    GEA_RETURN_IF_ERROR(InstallDataSet(std::move(*dataset)));
-  }
-  RefreshRelationsSnapshot();
-  PublishCatalogEpoch();
-  // A bulk load replaces state the WAL knows nothing about, so the
-  // storage directory (when attached) gets a full snapshot right away,
-  // and any WAL shipper is told its followers must re-seed from a
-  // snapshot — no stream of records reproduces this transition.
-  if (storage_ != nullptr && !replaying_wal_) {
-    // Flush any in-flight group commits before the checkpoint rotates
-    // the WAL underneath them.
-    GEA_RETURN_IF_ERROR(DrainCommits());
-    GEA_RETURN_IF_ERROR(storage_->Checkpoint(BuildSnapshotImage()));
-    if (wal_observer_) {
-      store::WalRecord reset;
-      reset.type = store::WalRecord::Type::kCheckpoint;
-      reset.op = "state_reset";
-      wal_observer_(storage_->last_lsn(), reset);
-    }
-  }
-  return Status::OK();
+  return dataset;
 }
 
 // ---- Shared namespace plumbing ----
 
 Status AnalysisSession::CheckNameFree(const std::string& name,
                                       bool replace) const {
-  const bool taken = enums_.count(name) > 0 || sumys_.count(name) > 0 ||
-                     gaps_.count(name) > 0;
+  const txn::SnapshotPin current = PinSnapshot();
+  const bool taken = current->enums.count(name) > 0 ||
+                     current->sumys.count(name) > 0 ||
+                     current->gaps.count(name) > 0;
   if (taken && !replace) {
     return Status::AlreadyExists("a table already exists: " + name);
   }
   return Status::OK();
-}
-
-void AnalysisSession::DropObject(const std::string& name) {
-  enums_.erase(name);
-  sumys_.erase(name);
-  gaps_.erase(name);
 }
 
 void AnalysisSession::RecordLineage(
@@ -503,10 +280,11 @@ Status AnalysisSession::CreateTissueDataSet(sage::TissueType tissue,
       return Status::NotFound(std::string("no libraries of tissue type ") +
                               sage::TissueTypeName(tissue));
     }
-    Store(enums_, name, core::EnumTable::FromDataSet(name, slice));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.enums, name, core::EnumTable::FromDataSet(name, slice));
     RecordLineage(name, lineage::NodeKind::kDataSet, "tissue_dataset",
                   {{"tissue", name}}, {"SAGE"});
-    return WalOp("tissue_dataset",
+    return WalOp(std::move(next), "tissue_dataset",
                  {{"tissue", name}, {"replace", WalBool(replace)}});
   });
 }
@@ -520,7 +298,8 @@ Status AnalysisSession::CreateCustomDataSet(const std::string& name,
     GEA_ASSIGN_OR_RETURN(const sage::SageDataSet* data, DataSet());
     GEA_RETURN_IF_ERROR(CheckNameFree(name, replace));
     GEA_ASSIGN_OR_RETURN(sage::SageDataSet slice, data->SelectByIds(ids));
-    Store(enums_, name, core::EnumTable::FromDataSet(name, slice));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.enums, name, core::EnumTable::FromDataSet(name, slice));
     RecordLineage(name, lineage::NodeKind::kDataSet, "custom_dataset",
                   {{"libraries", std::to_string(ids.size())}}, {"SAGE"});
     std::string ids_text;
@@ -528,37 +307,26 @@ Status AnalysisSession::CreateCustomDataSet(const std::string& name,
       if (!ids_text.empty()) ids_text += ',';
       ids_text += std::to_string(id);
     }
-    return WalOp("custom_dataset", {{"name", name},
-                                    {"ids", ids_text},
-                                    {"replace", WalBool(replace)}});
+    return WalOp(std::move(next), "custom_dataset",
+                 {{"name", name},
+                  {"ids", ids_text},
+                  {"replace", WalBool(replace)}});
   });
 }
 
 Result<const core::EnumTable*> AnalysisSession::GetEnum(
     const std::string& name) const {
-  auto it = enums_.find(name);
-  if (it == enums_.end()) {
-    return Status::NotFound("no such ENUM table: " + name);
-  }
-  return it->second.get();
+  return Lookup(PinSnapshot()->enums, "ENUM", name);
 }
 
 Result<const core::SumyTable*> AnalysisSession::GetSumy(
     const std::string& name) const {
-  auto it = sumys_.find(name);
-  if (it == sumys_.end()) {
-    return Status::NotFound("no such SUMY table: " + name);
-  }
-  return it->second.get();
+  return Lookup(PinSnapshot()->sumys, "SUMY", name);
 }
 
 Result<const core::GapTable*> AnalysisSession::GetGap(
     const std::string& name) const {
-  auto it = gaps_.find(name);
-  if (it == gaps_.end()) {
-    return Status::NotFound("no such GAP table: " + name);
-  }
-  return it->second.get();
+  return Lookup(PinSnapshot()->gaps, "GAP", name);
 }
 
 // ---- Metadata + fascicles ----
@@ -574,16 +342,18 @@ Status AnalysisSession::GenerateMetadata(const std::string& dataset_name,
     if (percent < 0.0 || percent > 100.0) {
       return Status::InvalidArgument("percent must be in [0, 100]");
     }
-    if (metadata_.count(meta_name) > 0 && !replace) {
+    if (PinSnapshot()->metadata.count(meta_name) > 0 && !replace) {
       return Status::AlreadyExists("metadata already exists: " + meta_name);
     }
     GEA_ASSIGN_OR_RETURN(const core::EnumTable* input, GetEnum(dataset_name));
-    metadata_[meta_name] = std::make_shared<const std::vector<double>>(
+    txn::CatalogSnapshot next = WorkingCopy();
+    next.metadata[meta_name] = std::make_shared<const std::vector<double>>(
         core::MakeToleranceMetadata(*input, percent));
-    return WalOp("generate_metadata", {{"dataset", dataset_name},
-                                       {"percent", WalDouble(percent)},
-                                       {"meta", meta_name},
-                                       {"replace", WalBool(replace)}});
+    return WalOp(std::move(next), "generate_metadata",
+                 {{"dataset", dataset_name},
+                  {"percent", WalDouble(percent)},
+                  {"meta", meta_name},
+                  {"replace", WalBool(replace)}});
   });
 }
 
@@ -597,8 +367,9 @@ Result<std::vector<std::string>> AnalysisSession::CalculateFascicles(
   return Logged("fascicles", dataset_name + " -> " + out_prefix,
                 [&]() -> Result<std::vector<std::string>> {
   GEA_ASSIGN_OR_RETURN(const core::EnumTable* input, GetEnum(dataset_name));
-  auto meta_it = metadata_.find(meta_name);
-  if (meta_it == metadata_.end()) {
+  const txn::SnapshotPin current = PinSnapshot();
+  auto meta_it = current->metadata.find(meta_name);
+  if (meta_it == current->metadata.end()) {
     return Status::NotFound("no such metadata: " + meta_name);
   }
   cluster::FascicleParams params;
@@ -618,6 +389,7 @@ Result<std::vector<std::string>> AnalysisSession::CalculateFascicles(
     GEA_RETURN_IF_ERROR(CheckNameFree(name + "_SUMY", /*replace=*/false));
     names.push_back(name);
   }
+  txn::CatalogSnapshot next = WorkingCopy();
   for (size_t i = 0; i < mined.size(); ++i) {
     core::MinedFascicle& m = mined[i];
     const std::string& name = names[i];
@@ -630,15 +402,15 @@ Result<std::vector<std::string>> AnalysisSession::CalculateFascicles(
         {"min_size", std::to_string(min_size)},
         {"members", std::to_string(m.fascicle.members.size())},
     };
-    Store(enums_, name, std::move(m.members));
-    Store(sumys_, name + "_SUMY", std::move(m.sumy));
+    Store(next, next.enums, name, std::move(m.members));
+    Store(next, next.sumys, name + "_SUMY", std::move(m.sumy));
     RecordLineage(name, lineage::NodeKind::kFascicle, "fascicles",
                   op_params, {dataset_name});
     RecordLineage(name + "_SUMY", lineage::NodeKind::kSumy, "aggregate",
                   {}, {name});
   }
   GEA_RETURN_IF_ERROR(WalOp(
-      "fascicles",
+      std::move(next), "fascicles",
       {{"dataset", dataset_name},
        {"meta", meta_name},
        {"min_compact_tags", std::to_string(min_compact_tags)},
@@ -718,10 +490,11 @@ Result<AnalysisSession::ControlGroups> AnalysisSession::FormControlGroups(
   GEA_ASSIGN_OR_RETURN(core::SumyTable opposite_sumy,
                        core::Aggregate(opposite, names.opposite_sumy));
 
-  Store(enums_, names.not_in_fas_enum, std::move(not_in_fas));
-  Store(enums_, names.opposite_enum, std::move(opposite));
-  Store(sumys_, names.not_in_fas_sumy, std::move(not_in_fas_sumy));
-  Store(sumys_, names.opposite_sumy, std::move(opposite_sumy));
+  txn::CatalogSnapshot next = WorkingCopy();
+  Store(next, next.enums, names.not_in_fas_enum, std::move(not_in_fas));
+  Store(next, next.enums, names.opposite_enum, std::move(opposite));
+  Store(next, next.sumys, names.not_in_fas_sumy, std::move(not_in_fas_sumy));
+  Store(next, next.sumys, names.opposite_sumy, std::move(opposite_sumy));
 
   RecordLineage(names.not_in_fas_enum, lineage::NodeKind::kEnum,
                 "control_group", {{"state", state_tag}},
@@ -733,8 +506,9 @@ Result<AnalysisSession::ControlGroups> AnalysisSession::FormControlGroups(
                 {dataset_name, fascicle_enum});
   RecordLineage(names.opposite_sumy, lineage::NodeKind::kSumy, "aggregate",
                 {}, {names.opposite_enum});
-  GEA_RETURN_IF_ERROR(WalOp("control_groups", {{"dataset", dataset_name},
-                                               {"fascicle", fascicle_enum}}));
+  GEA_RETURN_IF_ERROR(WalOp(std::move(next), "control_groups",
+                            {{"dataset", dataset_name},
+                             {"fascicle", fascicle_enum}}));
   return names;
   });
 }
@@ -750,12 +524,14 @@ Status AnalysisSession::Aggregate(const std::string& enum_name,
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, replace));
     GEA_ASSIGN_OR_RETURN(core::SumyTable sumy,
                          core::Aggregate(*input, out_name));
-    Store(sumys_, out_name, std::move(sumy));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.sumys, out_name, std::move(sumy));
     RecordLineage(out_name, lineage::NodeKind::kSumy, "aggregate", {},
                   {enum_name});
-    return WalOp("aggregate", {{"enum", enum_name},
-                               {"out", out_name},
-                               {"replace", WalBool(replace)}});
+    return WalOp(std::move(next), "aggregate",
+                 {{"enum", enum_name},
+                  {"out", out_name},
+                  {"replace", WalBool(replace)}});
   });
 }
 
@@ -772,14 +548,16 @@ Status AnalysisSession::Populate(const std::string& sumy_name,
     core::PopulateEngine engine(*base);
     GEA_ASSIGN_OR_RETURN(core::EnumTable populated,
                          engine.Populate(*sumy, out_name));
-    Store(enums_, out_name, std::move(populated));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.enums, out_name, std::move(populated));
     RecordLineage(out_name, lineage::NodeKind::kEnum, "populate",
                   {{"sumy", sumy_name}, {"base", base_enum}},
                   {sumy_name, base_enum});
-    return WalOp("populate", {{"sumy", sumy_name},
-                              {"base", base_enum},
-                              {"out", out_name},
-                              {"replace", WalBool(replace)}});
+    return WalOp(std::move(next), "populate",
+                 {{"sumy", sumy_name},
+                  {"base", base_enum},
+                  {"out", out_name},
+                  {"replace", WalBool(replace)}});
   });
 }
 
@@ -798,14 +576,16 @@ Status AnalysisSession::CreateGap(const std::string& sumy1_name,
     GEA_RETURN_IF_ERROR(CheckNameFree(gap_name, replace));
     GEA_ASSIGN_OR_RETURN(core::GapTable gap,
                          core::Diff(*sumy1, *sumy2, gap_name));
-    Store(gaps_, gap_name, std::move(gap));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.gaps, gap_name, std::move(gap));
     RecordLineage(gap_name, lineage::NodeKind::kGap, "diff",
                   {{"sumy1", sumy1_name}, {"sumy2", sumy2_name}},
                   {sumy1_name, sumy2_name});
-    return WalOp("create_gap", {{"sumy1", sumy1_name},
-                                {"sumy2", sumy2_name},
-                                {"gap", gap_name},
-                                {"replace", WalBool(replace)}});
+    return WalOp(std::move(next), "create_gap",
+                 {{"sumy1", sumy1_name},
+                  {"sumy2", sumy2_name},
+                  {"gap", gap_name},
+                  {"replace", WalBool(replace)}});
   });
 }
 
@@ -817,17 +597,18 @@ Result<std::string> AnalysisSession::CalculateTopGap(
                 [&]() -> Result<std::string> {
     GEA_ASSIGN_OR_RETURN(const core::GapTable* gap, GetGap(gap_name));
     const std::string out_name = gap_name + "_" + std::to_string(x);
-    GEA_RETURN_IF_ERROR(CheckNameFree(out_name, /*replace=*/true));
     GEA_ASSIGN_OR_RETURN(core::GapTable top,
                          core::TopGap(*gap, x, mode, out_name));
-    Store(gaps_, out_name, std::move(top));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.gaps, out_name, std::move(top));
     RecordLineage(out_name, lineage::NodeKind::kTopGap, "top_gap",
                   {{"x", std::to_string(x)}, {"mode", TopGapModeName(mode)}},
                   {gap_name});
     GEA_RETURN_IF_ERROR(
-        WalOp("top_gap", {{"gap", gap_name},
-                          {"x", std::to_string(x)},
-                          {"mode", std::to_string(static_cast<int>(mode))}}));
+        WalOp(std::move(next), "top_gap",
+              {{"gap", gap_name},
+               {"x", std::to_string(x)},
+               {"mode", std::to_string(static_cast<int>(mode))}}));
     return out_name;
   });
 }
@@ -847,10 +628,11 @@ Status AnalysisSession::CompareGapTables(const std::string& gap_a,
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, replace));
     GEA_ASSIGN_OR_RETURN(core::GapTable compared,
                          core::CompareGaps(*a, *b, kind, out_name));
-    Store(gaps_, out_name, std::move(compared));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.gaps, out_name, std::move(compared));
     RecordLineage(out_name, lineage::NodeKind::kCompareGap,
                   core::GapCompareKindName(kind), {}, {gap_a, gap_b});
-    return WalOp("compare_gaps",
+    return WalOp(std::move(next), "compare_gaps",
                  {{"a", gap_a},
                   {"b", gap_b},
                   {"kind", std::to_string(static_cast<int>(kind))},
@@ -872,11 +654,12 @@ Status AnalysisSession::RunGapQuery(const std::string& compared_name,
     GEA_RETURN_IF_ERROR(CheckNameFree(out_name, replace));
     GEA_ASSIGN_OR_RETURN(core::GapTable result,
                          core::ApplyGapQuery(*compared, query, out_name));
-    Store(gaps_, out_name, std::move(result));
+    txn::CatalogSnapshot next = WorkingCopy();
+    Store(next, next.gaps, out_name, std::move(result));
     RecordLineage(out_name, lineage::NodeKind::kGap, "gap_query",
                   {{"query", core::GapCompareQueryDescription(query)}},
                   {compared_name});
-    return WalOp("gap_query",
+    return WalOp(std::move(next), "gap_query",
                  {{"compared", compared_name},
                   {"query", std::to_string(static_cast<int>(query))},
                   {"out", out_name},
@@ -965,10 +748,7 @@ Result<rel::Table> AnalysisSession::Query(const std::string& sql) const {
     // writers publish new epochs without ever touching this one, so the
     // query needs no session lock at all.
     txn::SnapshotPin pin = PinSnapshot();
-    if (pin.valid() && pin->relations != nullptr) {
-      return rel::ExecuteQuery(*pin->relations, sql);
-    }
-    return rel::ExecuteQuery(relations_, sql);
+    return rel::ExecuteQuery(*pin->relations, sql);
   });
 }
 
@@ -1095,7 +875,8 @@ Status AnalysisSession::CommentOn(const std::string& table_name,
   GEA_ASSIGN_OR_RETURN(lineage::LineageGraph::NodeId id,
                        lineage_.FindByName(table_name));
   GEA_RETURN_IF_ERROR(lineage_.SetComment(id, comment));
-  return WalOp("comment", {{"table", table_name}, {"comment", comment}});
+  return WalOp(WorkingCopy(), "comment",
+               {{"table", table_name}, {"comment", comment}});
 }
 
 Status AnalysisSession::DeleteTable(const std::string& table_name,
@@ -1104,46 +885,37 @@ Status AnalysisSession::DeleteTable(const std::string& table_name,
   GEA_RETURN_IF_ERROR(RequireWritable());
   GEA_ASSIGN_OR_RETURN(lineage::LineageGraph::NodeId id,
                        lineage_.FindByName(table_name));
-  auto drop = [this](const std::string& name) { DropObject(name); };
+  txn::CatalogSnapshot next = WorkingCopy();
+  auto drop = [&next](const std::string& name) { DropObject(next, name); };
   GEA_RETURN_IF_ERROR(cascade ? lineage_.DeleteCascade(id, drop)
                               : lineage_.DeleteContents(id, drop));
-  return WalOp("delete_table",
+  return WalOp(std::move(next), "delete_table",
                {{"table", table_name}, {"cascade", WalBool(cascade)}});
 }
 
-std::vector<std::string> AnalysisSession::TableNames() const {
-  std::vector<std::string> names;
-  for (const auto& [name, table] : enums_) names.push_back(name);
-  for (const auto& [name, table] : sumys_) names.push_back(name);
-  for (const auto& [name, table] : gaps_) names.push_back(name);
+namespace {
+
+/// `names` plus `catalog`'s ENUM, SUMY and GAP table names, sorted.
+std::vector<std::string> SortedTableNames(const txn::CatalogSnapshot& catalog,
+                                          std::vector<std::string> names) {
+  for (const auto& [name, table] : catalog.enums) names.push_back(name);
+  for (const auto& [name, table] : catalog.sumys) names.push_back(name);
+  for (const auto& [name, table] : catalog.gaps) names.push_back(name);
   std::sort(names.begin(), names.end());
   return names;
 }
 
-// ---- MVCC epochs ----
+}  // namespace
 
-void AnalysisSession::RefreshRelationsSnapshot() {
-  relations_snapshot_ =
-      std::make_shared<const rel::Catalog>(relations_.Clone());
+std::vector<std::string> AnalysisSession::TableNames() const {
+  return SortedTableNames(*PinSnapshot(), {});
 }
 
-void AnalysisSession::PublishCatalogEpoch() {
-  txn::CatalogSnapshot snap;
-  snap.enums = enums_;
-  snap.sumys = sumys_;
-  snap.gaps = gaps_;
-  snap.metadata = metadata_;
-  snap.dataset = dataset_;
-  snap.relations = relations_snapshot_;
-  epochs_->Publish(std::move(snap));
-}
+// ---- MVCC snapshot reads ----
 
 Result<rel::Table> AnalysisSession::MaterializeAnyTable(
     const std::string& name) const {
   txn::SnapshotPin pin = PinSnapshot();
-  if (!pin.valid() || pin->relations == nullptr) {
-    return relations_.MaterializeTable(name);
-  }
   if (Result<rel::Table> stored = pin->relations->MaterializeTable(name);
       stored.ok()) {
     return stored;
@@ -1162,17 +934,7 @@ Result<rel::Table> AnalysisSession::MaterializeAnyTable(
 
 std::vector<std::string> AnalysisSession::SnapshotTableNames() const {
   txn::SnapshotPin pin = PinSnapshot();
-  std::vector<std::string> names;
-  if (pin.valid() && pin->relations != nullptr) {
-    names = pin->relations->TableNames();
-    for (const auto& [name, table] : pin->enums) names.push_back(name);
-    for (const auto& [name, table] : pin->sumys) names.push_back(name);
-    for (const auto& [name, table] : pin->gaps) names.push_back(name);
-  } else {
-    names = relations_.TableNames();
-  }
-  std::sort(names.begin(), names.end());
-  return names;
+  return SortedTableNames(*pin, pin->relations->TableNames());
 }
 
 // ---- Group commit ----

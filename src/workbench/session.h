@@ -48,12 +48,17 @@ namespace gea::workbench {
 ///
 /// ## Concurrency model (MVCC epochs + group commit)
 ///
-/// The session is single-writer, many-reader. Writers are serialized
-/// externally (the serve layer's exclusive session lock); each mutating
-/// operation applies its change to the live maps — which hold tables by
-/// shared_ptr-to-const, so a change is a fresh pointer, never an in-place
-/// edit — and then publishes the whole catalog as the next immutable
-/// epoch (txn::EpochManager, one atomic pointer swap).
+/// The session is single-writer, many-reader, and the published epoch
+/// (txn::EpochManager) is its only catalog: there are no live table
+/// maps behind it. Writers are serialized externally (the serve layer's
+/// exclusive session lock). Each mutating operation reads its inputs
+/// from the current epoch, then copies that epoch's catalog — shallow
+/// copies of the shared_ptr-to-const table maps, plus a relations clone
+/// only when it edits relations — stores its output in the copy, and
+/// publishes the copy as the next epoch only once the change has
+/// succeeded, so a failed write is never visible. Whole-catalog installs (OpenStorage, ApplySnapshotBlob,
+/// LoadDatabase) convert every section first and publish once. The
+/// lineage graph is writer state outside the epoch.
 ///
 /// Readers never take the session lock: PinSnapshot() hands out an RAII
 /// pin on the current epoch and Query() / MaterializeAnyTable() /
@@ -116,15 +121,20 @@ class AnalysisSession {
   /// "initialize database" operation.
   Status InitializeDatabase();
 
+  /// Borrowed from the current epoch: valid until a later data-set load,
+  /// initialize or restore replaces it.
   Result<const sage::SageDataSet*> DataSet() const;
 
-  /// Persists the whole analysis database — the SAGE libraries, every
-  /// derived ENUM/SUMY/GAP table, the tolerance metadata, and the
-  /// operation history — into `directory` (created if needed).
+  /// Persists the whole analysis database into `directory` (created if
+  /// needed): the SAGE libraries, and each table section of the snapshot
+  /// image — every derived ENUM/SUMY/GAP table, the tolerance metadata,
+  /// the stored relations and the operation history — as a CSV file.
   Status SaveDatabase(const std::string& directory) const;
 
   /// Replaces the session's analysis state with a database previously
-  /// written by SaveDatabase. Users and configuration are unaffected.
+  /// written by SaveDatabase, through the snapshot restore path: a bad
+  /// file leaves the session as it was. Users and configuration are
+  /// unaffected.
   Status LoadDatabase(const std::string& directory);
 
   // ---- Durable storage (WAL + snapshots; src/store) ----
@@ -198,16 +208,16 @@ class AnalysisSession {
 
   // ---- MVCC snapshot reads (consumed by the serve layer) ----
 
-  /// Pins the current catalog epoch. Wait-free; never blocks behind
-  /// writers or checkpoints. The pinned snapshot's tables stay valid for
-  /// the pin's whole scope.
+  /// Pins the current catalog epoch. Holds the epoch lock only to copy
+  /// one pointer, so it never waits behind a write or checkpoint. The
+  /// pinned snapshot's tables stay valid for the pin's whole scope.
   txn::SnapshotPin PinSnapshot() const { return epochs_->Pin(); }
   uint64_t CurrentEpoch() const { return epochs_->CurrentEpoch(); }
 
   /// Materializes any table visible to readers — a frozen relation or
   /// computed view from the pinned epoch's catalog clone, or a stored
-  /// ENUM/SUMY/GAP rendered via ToRelTable — without touching live
-  /// session state. The serve layer's lock-free get_table path.
+  /// ENUM/SUMY/GAP rendered via ToRelTable. The serve layer's lock-free
+  /// get_table path.
   Result<rel::Table> MaterializeAnyTable(const std::string& name) const;
 
   /// Sorted union of the pinned epoch's table names (ENUM/SUMY/GAP plus
@@ -241,6 +251,8 @@ class AnalysisSession {
                              const std::vector<int>& library_ids,
                              bool replace = false);
 
+  /// Stored tables, borrowed from the current epoch: valid until a later
+  /// write replaces or drops the table.
   Result<const core::EnumTable*> GetEnum(const std::string& name) const;
   Result<const core::SumyTable*> GetSumy(const std::string& name) const;
   Result<const core::GapTable*> GetGap(const std::string& name) const;
@@ -413,8 +425,10 @@ class AnalysisSession {
   /// All stored table names (ENUM + SUMY + GAP), sorted.
   std::vector<std::string> TableNames() const;
 
-  /// Auxiliary relations (Libraries, Typeinfo, Sageinfo).
-  const rel::Catalog& Relations() const { return relations_; }
+  /// Auxiliary relations (Libraries, Typeinfo, Sageinfo), borrowed from
+  /// the current epoch: valid until a later data-set load, initialize or
+  /// restore replaces them.
+  const rel::Catalog& Relations() const { return *PinSnapshot()->relations; }
 
  private:
   Status RequireLogin() const;
@@ -461,23 +475,18 @@ class AnalysisSession {
   /// one structured "slow_query" log record.
   void ExportTelemetry(const QueryLogEntry& entry,
                        const obs::OperationProfile& profile) const;
-  /// Sets the data set and rebuilds the auxiliary relations without
-  /// touching the lineage graph.
-  Status InstallDataSet(sage::SageDataSet dataset);
-  /// The Section 4.4.5.2 redundancy check over the shared namespace. It
-  /// drops nothing: Store() replaces the old table.
+  /// The current epoch's catalog, copied for one write to edit. The
+  /// table maps are shallow copies, so a write swaps pointers and never
+  /// touches a table a reader holds. The write publishes it through
+  /// WalOp or WalDataSet once it has succeeded.
+  txn::CatalogSnapshot WorkingCopy() const { return *PinSnapshot(); }
+  /// Sets `catalog`'s data set and rebuilds its auxiliary relations (on a
+  /// clone) without touching the lineage graph.
+  static Status InstallDataSet(txn::CatalogSnapshot& catalog,
+                               sage::SageDataSet dataset);
+  /// The Section 4.4.5.2 redundancy check over the current epoch's shared
+  /// namespace. It drops nothing: Store() replaces the old table.
   Status CheckNameFree(const std::string& name, bool replace) const;
-  /// Removes `name` from whichever registry holds it.
-  void DropObject(const std::string& name);
-  /// Stores an operation's output under `name`, dropping the table that
-  /// held it. Called once nothing can fail, so a failed write changes
-  /// nothing.
-  template <typename T>
-  void Store(std::map<std::string, std::shared_ptr<const T>>& registry,
-             const std::string& name, T table) {
-    DropObject(name);
-    registry.emplace(name, std::make_shared<const T>(std::move(table)));
-  }
   /// Registers a lineage node, ignoring duplicate-name errors after
   /// replace-drops.
   void RecordLineage(const std::string& name, lineage::NodeKind kind,
@@ -487,35 +496,29 @@ class AnalysisSession {
 
   // ---- Durable storage plumbing (session_storage.cc) ----
 
-  /// Appends one logical-operation record to the WAL and applies the
-  /// automatic checkpoint policy. No-op when storage is detached or the
-  /// session is replaying the WAL during recovery.
-  Status WalOp(const std::string& op,
+  /// Publishes `next` as the readers' epoch, then appends one
+  /// logical-operation record to the WAL and applies the automatic
+  /// checkpoint policy. The append is skipped when storage is detached or
+  /// the session is replaying the WAL during recovery.
+  Status WalOp(txn::CatalogSnapshot next, const std::string& op,
                std::map<std::string, std::string> params);
-  /// Same, for physical payloads that cannot be re-derived (data sets).
-  Status WalBlob(const std::string& kind, std::string payload);
-  /// Common WAL tail for WalOp/WalBlob: submits the record to the group
-  /// committer, waits inline (or stashes the ticket when deferred commits
-  /// are on), and applies the automatic checkpoint policy.
+  /// Same, logging `next`'s data set as a blob record: it cannot be
+  /// re-derived.
+  Status WalDataSet(txn::CatalogSnapshot next);
+  /// Common WAL tail for WalOp/WalDataSet: submits the record to the
+  /// group committer, waits inline (or stashes the ticket when deferred
+  /// commits are on), and applies the automatic checkpoint policy.
   Status CommitWalRecord(store::WalRecord record);
-  /// WAL-logs the currently installed data set as a blob record.
-  Status WalLogDataSet();
   /// Re-executes one WAL record through the public operator methods.
   Status ReplayWalRecord(const store::WalRecord& record);
-  /// Maps the whole analysis state onto snapshot sections and back.
-  store::SnapshotImage BuildSnapshotImage() const;
+  /// Maps `catalog` and the lineage graph onto snapshot sections.
+  store::SnapshotImage BuildSnapshotImage(
+      const txn::CatalogSnapshot& catalog) const;
+  /// The one whole-catalog install path: converts every section of
+  /// `image` into a new catalog and lineage graph, then publishes the
+  /// catalog. A section that fails to convert leaves the session as it
+  /// was.
   Status RestoreFromSnapshotImage(const store::SnapshotImage& image);
-
-  // ---- MVCC plumbing ----
-
-  /// Publishes the live maps as the next immutable epoch (shallow
-  /// shared_ptr map copies + the cached relations clone). Called at the
-  /// end of every mutating operation, from WalOp/WalBlob.
-  void PublishCatalogEpoch();
-  /// Re-clones relations_ into the snapshot cache. Called after
-  /// operations that change the relations catalog (data-set install,
-  /// restore, initialize) — table-map mutations don't need it.
-  void RefreshRelationsSnapshot();
 
   UserDatabase users_;
   /// Registration with the global TelemetryHub; keeps this session
@@ -525,8 +528,6 @@ class AnalysisSession {
   AccessLevel current_level_ = AccessLevel::kUser;
   std::map<std::string, std::string> configuration_;
 
-  std::shared_ptr<const sage::SageDataSet> dataset_;
-  rel::Catalog relations_;
   lineage::LineageGraph lineage_;
 
   std::unique_ptr<store::StorageEngine> storage_;
@@ -541,21 +542,10 @@ class AnalysisSession {
   bool deferred_commits_ = false;
   std::shared_ptr<txn::CommitTicket> pending_commit_;
 
-  // The working (writer-side) catalog. Values are shared_ptr-to-const so
-  // published epochs share them: replacing a table swaps the pointer,
-  // which is what keeps superseded epochs' views intact (COW).
-  std::map<std::string, std::shared_ptr<const core::EnumTable>> enums_;
-  std::map<std::string, std::shared_ptr<const core::SumyTable>> sumys_;
-  std::map<std::string, std::shared_ptr<const core::GapTable>> gaps_;
-  std::map<std::string, std::shared_ptr<const std::vector<double>>>
-      metadata_;  // tolerance vectors
-
-  /// Epoch publication point (unique_ptr keeps the session movable).
+  /// The published catalog epochs (unique_ptr keeps the session
+  /// movable).
   std::unique_ptr<txn::EpochManager> epochs_ =
       std::make_unique<txn::EpochManager>();
-  /// Frozen clone of relations_ shared by snapshots until the next
-  /// relations-changing operation.
-  std::shared_ptr<const rel::Catalog> relations_snapshot_;
 
   // Mutable: logging is bookkeeping, so const queries (e.g. Query())
   // still append to the log. log_mu_ guards the ring and the profile;

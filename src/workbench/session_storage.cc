@@ -1,17 +1,20 @@
 #include <cstdlib>
+#include <filesystem>
 #include <utility>
 
 #include "common/strings.h"
 #include "core/serialization.h"
 #include "obs/statviews.h"
+#include "rel/table_io.h"
 #include "sage/io.h"
 #include "store/format.h"
 #include "workbench/session.h"
 
 /// Durable-storage half of AnalysisSession: mapping the session state
-/// onto snapshot sections, replaying logical WAL records through the
-/// public operator methods, and the open/checkpoint/close plumbing.
-/// The WAL-append call sites themselves live next to each operator in
+/// onto snapshot sections and back, SaveDatabase / LoadDatabase over
+/// those sections, replaying logical WAL records through the public
+/// operator methods, and the open/checkpoint/close plumbing. The
+/// WAL-append call sites themselves live next to each operator in
 /// session.cc.
 
 namespace gea::workbench {
@@ -29,6 +32,48 @@ constexpr char kKindLineageNodes[] = "lineage_nodes";
 constexpr char kKindLineageParams[] = "lineage_params";
 constexpr char kKindLineageEdges[] = "lineage_edges";
 constexpr char kKindRelation[] = "relation";
+/// An ENUM's library table is its own section, named "<enum>_libs".
+constexpr char kLibsSuffix[] = "_libs";
+
+/// The kinds SaveDatabase's manifest lists. Metadata files are found by
+/// listing their directory, and an ENUM's library table sits next to it.
+bool InManifest(const std::string& kind) {
+  return kind == kKindEnum || kind == kKindSumy || kind == kKindGap ||
+         kind == kKindRelation;
+}
+
+/// The file SaveDatabase writes a table section to, relative to its
+/// directory.
+std::string SectionFile(const std::string& kind, const std::string& name) {
+  if (kind == kKindEnumLibs) {
+    const size_t stem = name.size() - (sizeof(kLibsSuffix) - 1);
+    return "enums/" + name.substr(0, stem) + ".libs.csv";
+  }
+  if (kind == kKindMetadata) return "metadata/" + name + ".csv";
+  if (InManifest(kind)) return kind + "s/" + name + ".csv";  // enums/, ...
+  return kind + ".csv";  // the three lineage tables
+}
+
+namespace fs = std::filesystem;
+
+Status EnsureDirectory(const std::string& path) {
+  std::error_code ec;
+  fs::create_directories(path, ec);
+  if (ec) {
+    return Status::IoError("cannot create directory: " + path);
+  }
+  return Status::OK();
+}
+
+/// Table names double as file names; refuse path-breaking characters.
+Status CheckFileSafe(const std::string& name) {
+  if (name.find('/') != std::string::npos ||
+      name.find('\\') != std::string::npos || name.empty() ||
+      name[0] == '.') {
+    return Status::InvalidArgument("table name is not file-safe: " + name);
+  }
+  return Status::OK();
+}
 
 std::string EncodeDataSetBlob(const sage::SageDataSet& dataset) {
   std::string out;
@@ -84,6 +129,63 @@ Result<std::vector<double>> TolerancesFromTable(const rel::Table& table) {
     tolerances[index] = row[1].AsDouble();
   }
   return tolerances;
+}
+
+/// A SaveDatabase directory read back into the snapshot sections it was
+/// written from.
+Result<store::SnapshotImage> ReadDatabaseDirectory(
+    const std::string& directory) {
+  store::SnapshotImage image;
+  auto load = [&](const std::string& kind,
+                  const std::string& name) -> Status {
+    GEA_ASSIGN_OR_RETURN(
+        rel::Table table,
+        rel::LoadTable(name, directory + "/" + SectionFile(kind, name)));
+    image.sections.push_back(
+        store::SnapshotSection::Table(kind, std::move(table)));
+    return Status::OK();
+  };
+
+  if (fs::exists(directory + "/sage/sageName.txt")) {
+    GEA_ASSIGN_OR_RETURN(sage::SageDataSet dataset,
+                         sage::LoadDataSet(directory + "/sage"));
+    image.sections.push_back(store::SnapshotSection::Blob(
+        kKindSage, "dataset", EncodeDataSetBlob(dataset)));
+  }
+
+  GEA_ASSIGN_OR_RETURN(
+      rel::Table manifest,
+      rel::LoadTable("Manifest", directory + "/manifest.csv"));
+  for (size_t r = 0; r < manifest.NumRows(); ++r) {
+    const rel::Row row = manifest.GetRow(r);
+    if (row.size() != 2 || row[0].type() != rel::ValueType::kString ||
+        row[1].type() != rel::ValueType::kString) {
+      return Status::InvalidArgument("malformed manifest row in " + directory);
+    }
+    const std::string& name = row[0].AsString();
+    const std::string& kind = row[1].AsString();
+    GEA_RETURN_IF_ERROR(CheckFileSafe(name));
+    if (!InManifest(kind)) {
+      return Status::InvalidArgument("unknown manifest kind: " + kind);
+    }
+    GEA_RETURN_IF_ERROR(load(kind, name));
+    if (kind == kKindEnum) {
+      GEA_RETURN_IF_ERROR(load(kKindEnumLibs, name + kLibsSuffix));
+    }
+  }
+
+  if (fs::exists(directory + "/metadata")) {
+    for (const fs::directory_entry& entry :
+         fs::directory_iterator(directory + "/metadata")) {
+      if (entry.path().extension() != ".csv") continue;
+      GEA_RETURN_IF_ERROR(load(kKindMetadata, entry.path().stem().string()));
+    }
+  }
+
+  GEA_RETURN_IF_ERROR(load(kKindLineageNodes, "LineageNodes"));
+  GEA_RETURN_IF_ERROR(load(kKindLineageParams, "LineageParams"));
+  GEA_RETURN_IF_ERROR(load(kKindLineageEdges, "LineageEdges"));
+  return image;
 }
 
 // ---- WAL parameter accessors ----
@@ -186,7 +288,7 @@ Status AnalysisSession::Checkpoint() {
     // The checkpoint rotates the WAL under the engine; an in-flight
     // commit batch must land (and be acked) first.
     GEA_RETURN_IF_ERROR(DrainCommits());
-    return storage_->Checkpoint(BuildSnapshotImage());
+    return storage_->Checkpoint(BuildSnapshotImage(*PinSnapshot()));
   });
 }
 
@@ -208,33 +310,25 @@ Status AnalysisSession::CloseStorage() {
 
 // ---- WAL append + replay ----
 
-Status AnalysisSession::WalOp(const std::string& op,
+Status AnalysisSession::WalOp(txn::CatalogSnapshot next,
+                              const std::string& op,
                               std::map<std::string, std::string> params) {
-  // Every mutating operator funnels through here (or WalBlob), so this is
-  // the single point where the new catalog version becomes visible to
-  // lock-free readers. Published unconditionally — detached sessions,
-  // WAL replay, and replication apply mutate the catalog too, they just
-  // skip the log append below.
-  PublishCatalogEpoch();
+  // Every mutating operator funnels through here (or WalDataSet) once its
+  // change has succeeded, so this is the single point where the new
+  // catalog version becomes visible to lock-free readers. Published
+  // unconditionally — detached sessions, WAL replay, and replication
+  // apply mutate the catalog too, they just skip the log append below.
+  epochs_->Publish(std::move(next));
   if (!storage_ || replaying_wal_) return Status::OK();
   return CommitWalRecord(store::WalRecord::LogicalOp(op, std::move(params)));
 }
 
-Status AnalysisSession::WalLogDataSet() {
-  if (!storage_ || replaying_wal_ || dataset_ == nullptr) {
-    // Detached and replaying sessions still mutated the catalog, so the
-    // new version must reach snapshot readers even without a log append.
-    PublishCatalogEpoch();
-    return Status::OK();
-  }
-  return WalBlob("load_dataset", EncodeDataSetBlob(*dataset_));
-}
-
-Status AnalysisSession::WalBlob(const std::string& kind, std::string payload) {
-  PublishCatalogEpoch();
+Status AnalysisSession::WalDataSet(txn::CatalogSnapshot next) {
+  const std::shared_ptr<const sage::SageDataSet> dataset = next.dataset;
+  epochs_->Publish(std::move(next));
   if (!storage_ || replaying_wal_) return Status::OK();
-  return CommitWalRecord(store::WalRecord::BlobRecord(kind,
-                                                      std::move(payload)));
+  return CommitWalRecord(store::WalRecord::BlobRecord(
+      "load_dataset", EncodeDataSetBlob(*dataset)));
 }
 
 Status AnalysisSession::CommitWalRecord(store::WalRecord record) {
@@ -253,7 +347,7 @@ Status AnalysisSession::CommitWalRecord(store::WalRecord record) {
   }
   if (storage_->CheckpointDue()) {
     GEA_RETURN_IF_ERROR(DrainCommits());
-    return storage_->Checkpoint(BuildSnapshotImage());
+    return storage_->Checkpoint(BuildSnapshotImage(*PinSnapshot()));
   }
   return Status::OK();
 }
@@ -275,16 +369,13 @@ Status AnalysisSession::ApplyReplicatedRecord(const store::WalRecord& record) {
 }
 
 std::string AnalysisSession::ExportSnapshotBlob() const {
-  return store::EncodeSnapshot(BuildSnapshotImage());
+  return store::EncodeSnapshot(BuildSnapshotImage(*PinSnapshot()));
 }
 
 Status AnalysisSession::ApplySnapshotBlob(std::string_view blob) {
   GEA_RETURN_IF_ERROR(RequireLogin());
   GEA_ASSIGN_OR_RETURN(store::SnapshotImage image, store::DecodeSnapshot(blob));
-  applying_replication_ = true;
-  Status restored = RestoreFromSnapshotImage(image);
-  applying_replication_ = false;
-  return restored;
+  return RestoreFromSnapshotImage(image);
 }
 
 Status AnalysisSession::ReplayWalRecord(const store::WalRecord& record) {
@@ -405,29 +496,29 @@ Status AnalysisSession::ReplayWalRecord(const store::WalRecord& record) {
 
 // ---- Snapshot mapping ----
 
-store::SnapshotImage AnalysisSession::BuildSnapshotImage() const {
+store::SnapshotImage AnalysisSession::BuildSnapshotImage(
+    const txn::CatalogSnapshot& catalog) const {
   store::SnapshotImage image;
-  if (dataset_ != nullptr) {
+  if (catalog.dataset != nullptr) {
     image.sections.push_back(store::SnapshotSection::Blob(
-        kKindSage, "dataset", EncodeDataSetBlob(*dataset_)));
+        kKindSage, "dataset", EncodeDataSetBlob(*catalog.dataset)));
   }
-  for (const auto& [name, table] : enums_) {
+  for (const auto& [name, table] : catalog.enums) {
     image.sections.push_back(
         store::SnapshotSection::Table(kKindEnum, table->ToRelTable()));
     image.sections.push_back(store::SnapshotSection::Table(
-        kKindEnumLibs, core::EnumLibrariesToRelTable(*table, name + "_libs")));
+        kKindEnumLibs,
+        core::EnumLibrariesToRelTable(*table, name + kLibsSuffix)));
   }
-  for (const auto& [name, table] : sumys_) {
-    (void)name;
+  for (const auto& [name, table] : catalog.sumys) {
     image.sections.push_back(
         store::SnapshotSection::Table(kKindSumy, table->ToRelTable()));
   }
-  for (const auto& [name, table] : gaps_) {
-    (void)name;
+  for (const auto& [name, table] : catalog.gaps) {
     image.sections.push_back(
         store::SnapshotSection::Table(kKindGap, table->ToRelTable()));
   }
-  for (const auto& [name, tolerances] : metadata_) {
+  for (const auto& [name, tolerances] : catalog.metadata) {
     image.sections.push_back(store::SnapshotSection::Table(
         kKindMetadata, ToleranceTable(name, *tolerances)));
   }
@@ -441,9 +532,9 @@ store::SnapshotImage AnalysisSession::BuildSnapshotImage() const {
   // Stored relations only: computed (gea_stat_*) views are live telemetry
   // rebuilt by RegisterStatViews, not data — snapshotting one would
   // freeze a counter sample into the catalog.
-  for (const std::string& name : relations_.TableNames()) {
-    if (relations_.IsComputed(name)) continue;
-    auto table = relations_.GetTable(name);
+  for (const std::string& name : catalog.relations->TableNames()) {
+    if (catalog.relations->IsComputed(name)) continue;
+    auto table = catalog.relations->GetTable(name);
     if (!table.ok()) continue;
     image.sections.push_back(
         store::SnapshotSection::Table(kKindRelation, **table));
@@ -453,63 +544,63 @@ store::SnapshotImage AnalysisSession::BuildSnapshotImage() const {
 
 Status AnalysisSession::RestoreFromSnapshotImage(
     const store::SnapshotImage& image) {
-  // Stage everything first so a corrupt section leaves the session as-is.
+  // Every section converts into `next` and `history` first; the session
+  // changes only at the end, so an image that fails anywhere leaves it
+  // as it was.
+  txn::CatalogSnapshot next;
+  rel::Catalog relations;
+  obs::RegisterStatViews(relations);
   std::optional<sage::SageDataSet> dataset;
-  std::map<std::string, std::shared_ptr<const core::EnumTable>> enums;
-  std::map<std::string, std::shared_ptr<const core::SumyTable>> sumys;
-  std::map<std::string, std::shared_ptr<const core::GapTable>> gaps;
-  std::map<std::string, std::shared_ptr<const std::vector<double>>> metadata;
-  std::vector<rel::Table> stored_relations;
   const rel::Table* lineage_nodes = nullptr;
   const rel::Table* lineage_params = nullptr;
   const rel::Table* lineage_edges = nullptr;
 
   for (const store::SnapshotSection& section : image.sections) {
+    const std::string& name = section.name;
     if (section.kind == kKindSage) {
-      GEA_ASSIGN_OR_RETURN(sage::SageDataSet decoded,
-                           DecodeDataSetBlob(section.blob));
-      dataset = std::move(decoded);
-    } else if (section.kind == kKindEnum) {
+      GEA_ASSIGN_OR_RETURN(dataset, DecodeDataSetBlob(section.blob));
+      continue;
+    }
+    if (!section.table.has_value()) {
+      return Status::InvalidArgument("snapshot section " + section.kind +
+                                     " holds no table: " + name);
+    }
+    const rel::Table& table = *section.table;
+    if (section.kind == kKindEnum) {
       const store::SnapshotSection* libs =
-          image.Find(kKindEnumLibs, section.name + "_libs");
-      if (libs == nullptr || !libs->table.has_value() ||
-          !section.table.has_value()) {
+          image.Find(kKindEnumLibs, name + kLibsSuffix);
+      if (libs == nullptr || !libs->table.has_value()) {
         return Status::InvalidArgument(
-            "snapshot is missing the library table for ENUM " + section.name);
+            "snapshot is missing the library table for ENUM " + name);
       }
-      GEA_ASSIGN_OR_RETURN(
-          core::EnumTable table,
-          core::EnumFromRelTables(*section.table, *libs->table, section.name));
-      enums.emplace(section.name, std::make_shared<const core::EnumTable>(
-                                      std::move(table)));
-    } else if (section.kind == kKindSumy && section.table.has_value()) {
-      GEA_ASSIGN_OR_RETURN(core::SumyTable table,
-                           core::SumyFromRelTable(*section.table, section.name));
-      sumys.emplace(section.name, std::make_shared<const core::SumyTable>(
-                                      std::move(table)));
-    } else if (section.kind == kKindGap && section.table.has_value()) {
-      GEA_ASSIGN_OR_RETURN(core::GapTable table,
-                           core::GapFromRelTable(*section.table, section.name));
-      gaps.emplace(section.name, std::make_shared<const core::GapTable>(
-                                     std::move(table)));
-    } else if (section.kind == kKindMetadata && section.table.has_value()) {
+      GEA_ASSIGN_OR_RETURN(core::EnumTable enum_table,
+                           core::EnumFromRelTables(table, *libs->table, name));
+      next.enums.emplace(name, std::make_shared<const core::EnumTable>(
+                                   std::move(enum_table)));
+    } else if (section.kind == kKindSumy) {
+      GEA_ASSIGN_OR_RETURN(core::SumyTable sumy,
+                           core::SumyFromRelTable(table, name));
+      next.sumys.emplace(
+          name, std::make_shared<const core::SumyTable>(std::move(sumy)));
+    } else if (section.kind == kKindGap) {
+      GEA_ASSIGN_OR_RETURN(core::GapTable gap,
+                           core::GapFromRelTable(table, name));
+      next.gaps.emplace(
+          name, std::make_shared<const core::GapTable>(std::move(gap)));
+    } else if (section.kind == kKindMetadata) {
       GEA_ASSIGN_OR_RETURN(std::vector<double> tolerances,
-                           TolerancesFromTable(*section.table));
-      metadata.emplace(section.name,
-                       std::make_shared<const std::vector<double>>(
-                           std::move(tolerances)));
-    } else if (section.kind == kKindLineageNodes && section.table.has_value()) {
-      lineage_nodes = &*section.table;
-    } else if (section.kind == kKindLineageParams &&
-               section.table.has_value()) {
-      lineage_params = &*section.table;
-    } else if (section.kind == kKindLineageEdges && section.table.has_value()) {
-      lineage_edges = &*section.table;
-    } else if (section.kind == kKindRelation && section.table.has_value()) {
-      stored_relations.push_back(*section.table);
-    } else if (section.kind == kKindEnumLibs) {
-      // Consumed alongside its ENUM section.
-    } else {
+                           TolerancesFromTable(table));
+      next.metadata.emplace(name, std::make_shared<const std::vector<double>>(
+                                      std::move(tolerances)));
+    } else if (section.kind == kKindLineageNodes) {
+      lineage_nodes = &table;
+    } else if (section.kind == kKindLineageParams) {
+      lineage_params = &table;
+    } else if (section.kind == kKindLineageEdges) {
+      lineage_edges = &table;
+    } else if (section.kind == kKindRelation) {
+      GEA_RETURN_IF_ERROR(relations.CreateTable(table, /*replace=*/true));
+    } else if (section.kind != kKindEnumLibs) {  // read with its ENUM
       return Status::InvalidArgument("unknown snapshot section kind: " +
                                      section.kind);
     }
@@ -522,29 +613,76 @@ Status AnalysisSession::RestoreFromSnapshotImage(
                                       *lineage_nodes, *lineage_params,
                                       *lineage_edges));
   }
-
-  // Commit.
-  enums_ = std::move(enums);
-  sumys_ = std::move(sumys);
-  gaps_ = std::move(gaps);
-  metadata_ = std::move(metadata);
-  lineage_ = std::move(history);
-  relations_.Initialize();
-  obs::RegisterStatViews(relations_);  // Initialize() dropped the views
-  for (rel::Table& table : stored_relations) {
-    GEA_RETURN_IF_ERROR(
-        relations_.CreateTable(std::move(table), /*replace=*/true));
-  }
-  dataset_.reset();
+  next.relations = std::make_shared<const rel::Catalog>(std::move(relations));
   if (dataset.has_value()) {
     // InstallDataSet rebuilds the auxiliary relations, replacing the
     // snapshot copies with identical dataset-derived ones.
-    GEA_RETURN_IF_ERROR(InstallDataSet(std::move(*dataset)));
+    GEA_RETURN_IF_ERROR(InstallDataSet(next, std::move(*dataset)));
   }
-  // The restore replaced the whole catalog wholesale; readers flip to it
-  // in one epoch publication.
-  RefreshRelationsSnapshot();
-  PublishCatalogEpoch();
+
+  // Install: readers flip to the whole new catalog in one publication.
+  lineage_ = std::move(history);
+  epochs_->Publish(std::move(next));
+  return Status::OK();
+}
+
+// ---- Whole-database files ----
+
+Status AnalysisSession::SaveDatabase(const std::string& directory) const {
+  GEA_RETURN_IF_ERROR(RequireLogin());
+  GEA_RETURN_IF_ERROR(EnsureDirectory(directory));
+  txn::SnapshotPin pin = PinSnapshot();
+  // sage/ comes from the epoch's data set, not the image's blob: the
+  // blob's library text rounds the counts that sageName.txt totals.
+  if (pin->dataset != nullptr) {
+    GEA_RETURN_IF_ERROR(sage::SaveDataSet(*pin->dataset, directory + "/sage"));
+  }
+  for (const char* subdirectory :
+       {"enums", "sumys", "gaps", "relations", "metadata"}) {
+    GEA_RETURN_IF_ERROR(EnsureDirectory(directory + "/" + subdirectory));
+  }
+
+  rel::Table manifest("Manifest",
+                      rel::Schema({{"Name", rel::ValueType::kString},
+                                   {"Kind", rel::ValueType::kString}}));
+  for (const store::SnapshotSection& section :
+       BuildSnapshotImage(*pin).sections) {
+    if (!section.table.has_value()) continue;  // the data set: sage/ above
+    GEA_RETURN_IF_ERROR(CheckFileSafe(section.name));
+    GEA_RETURN_IF_ERROR(rel::SaveTable(
+        *section.table,
+        directory + "/" + SectionFile(section.kind, section.name)));
+    if (InManifest(section.kind)) {
+      manifest.AppendRowUnchecked({rel::Value::String(section.name),
+                                   rel::Value::String(section.kind)});
+    }
+  }
+  return rel::SaveTable(manifest, directory + "/manifest.csv");
+}
+
+Status AnalysisSession::LoadDatabase(const std::string& directory) {
+  GEA_RETURN_IF_ERROR(RequireLogin());
+  GEA_RETURN_IF_ERROR(RequireWritable());
+  GEA_ASSIGN_OR_RETURN(store::SnapshotImage image,
+                       ReadDatabaseDirectory(directory));
+  GEA_RETURN_IF_ERROR(RestoreFromSnapshotImage(image));
+  // A bulk load replaces state the WAL knows nothing about, so the
+  // storage directory (when attached) gets a full snapshot right away,
+  // and any WAL shipper is told its followers must re-seed from a
+  // snapshot — no stream of records reproduces this transition.
+  if (storage_ != nullptr && !replaying_wal_) {
+    // Flush any in-flight group commits before the checkpoint rotates
+    // the WAL underneath them.
+    GEA_RETURN_IF_ERROR(DrainCommits());
+    GEA_RETURN_IF_ERROR(
+        storage_->Checkpoint(BuildSnapshotImage(*PinSnapshot())));
+    if (wal_observer_) {
+      store::WalRecord reset;
+      reset.type = store::WalRecord::Type::kCheckpoint;
+      reset.op = "state_reset";
+      wal_observer_(storage_->last_lsn(), reset);
+    }
+  }
   return Status::OK();
 }
 

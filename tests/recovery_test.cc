@@ -19,6 +19,7 @@
 #include "sage/io.h"
 #include "store/fault_env.h"
 #include "store/file_env.h"
+#include "store/snapshot.h"
 #include "workbench/session.h"
 
 namespace gea {
@@ -121,6 +122,28 @@ std::map<std::string, std::string> Fingerprint(const AnalysisSession& session,
   return files;
 }
 
+// Both whole-catalog installs restore a session byte for byte: a
+// database directory through LoadDatabase, and an exported blob through
+// ApplySnapshotBlob. Exact because TestDataSet() is a fixed point of the
+// library text format.
+TEST(RecoveryTest, SavedAndExportedCatalogsReinstallIdentically) {
+  std::unique_ptr<AnalysisSession> source = NewAdminSession();
+  for (const auto& step : WorkloadSteps()) ASSERT_TRUE(step(*source).ok());
+  const auto fingerprint = Fingerprint(*source, "reinstall_source");
+
+  const std::string dir = FreshDir("reinstall_saved");
+  ASSERT_TRUE(source->SaveDatabase(dir).ok());
+  std::unique_ptr<AnalysisSession> loaded = NewAdminSession();
+  Status load = loaded->LoadDatabase(dir);
+  ASSERT_TRUE(load.ok()) << load.ToString();
+  EXPECT_EQ(Fingerprint(*loaded, "reinstall_loaded"), fingerprint);
+
+  std::unique_ptr<AnalysisSession> applied = NewAdminSession();
+  Status apply = applied->ApplySnapshotBlob(source->ExportSnapshotBlob());
+  ASSERT_TRUE(apply.ok()) << apply.ToString();
+  EXPECT_EQ(Fingerprint(*applied, "reinstall_applied"), fingerprint);
+}
+
 /// Runs the workload against a session with storage at `dir` through
 /// `env`, stopping at the first failed step. Returns how many steps were
 /// acknowledged (returned OK) — with sync-every-record, exactly the
@@ -218,6 +241,8 @@ TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
   ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
   ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   ASSERT_TRUE(live->CreateCustomDataSet("X", {1, 2, 3}).ok());
+  // Exported now, applied below: its tables differ from the live ones.
+  const std::string early_blob = live->ExportSnapshotBlob();
   failing_write([&] {
     return live->CreateCustomDataSet("X", {999999}, /*replace=*/true);
   });
@@ -239,6 +264,17 @@ TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
   failing_write([&] {
     return live->CalculateFascicles("brain", "meta", 150, 6, 3, "F").status();
   });
+
+  // A blob that decodes but cannot install — one relation section whose
+  // table has an empty name — changes nothing, not even half of it.
+  Result<store::SnapshotImage> image = store::DecodeSnapshot(early_blob);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  image->sections.push_back(store::SnapshotSection::Table(
+      "relation", rel::Table("", rel::Schema({{"A", rel::ValueType::kInt}}))));
+  const std::string bad_blob = store::EncodeSnapshot(*image);
+  const std::string exported = live->ExportSnapshotBlob();
+  failing_write([&] { return live->ApplySnapshotBlob(bad_blob); });
+  EXPECT_EQ(live->ExportSnapshotBlob(), exported);
 
   ASSERT_TRUE(live->Aggregate("X", "XS2").ok());
   ASSERT_TRUE(live->GetGap("G_0").ok());

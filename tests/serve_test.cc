@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/net.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "sage/cleaning.h"
 #include "sage/generator.h"
 #include "serve/client.h"
@@ -527,6 +529,7 @@ TEST_F(ServeTest, OversizedReplyIsAnsweredWithAnError) {
 
   QueryClient client;
   ASSERT_TRUE(client.Connect(server.Port()).ok());
+  client.SetTracing(true);
   // Bounded wait: a server that never answers fails the test instead of
   // hanging it.
   std::future<Result<Response>> call = std::async(
@@ -543,6 +546,24 @@ TEST_F(ServeTest, OversizedReplyIsAnsweredWithAnError) {
             std::string::npos)
       << reply->message;
   EXPECT_EQ(server.GetStats().errors, 1u);
+  // The trace ring records the status the client received. The record is
+  // published after the reply is written, so wait for it.
+  const uint64_t trace_id = client.LastTraceId();
+  ASSERT_NE(trace_id, 0u);
+  std::optional<int> recorded_code;
+  const auto ring_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!recorded_code.has_value()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), ring_deadline);
+    for (const obs::RequestTraceRecord& record :
+         obs::RequestTraceRing::Global().Snapshot()) {
+      if (record.trace_id == trace_id) recorded_code = record.status_code;
+    }
+    if (!recorded_code.has_value()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_EQ(*recorded_code, static_cast<int>(StatusCode::kResourceExhausted));
   // The connection stays open for the next request.
   EXPECT_TRUE(client.Ping().ok());
   server.Stop();

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/crc32.h"
 #include "obs/statviews.h"
 #include "store/engine.h"
 #include "store/fault_env.h"
@@ -169,6 +170,15 @@ TEST(SnapshotTest, DecodeRejectsEveryCorruption) {
         DecodeSnapshot(std::string_view(encoded).substr(0, cut)).ok());
   }
   EXPECT_FALSE(DecodeSnapshot(encoded + "tail").ok());
+  // A valid 28-byte header claiming 2^32-1 sections over an empty
+  // payload: an error, not a reservation sized by the count.
+  std::string header("GEASNAP1", 8);
+  PutU32(&header, kSnapshotVersion);
+  PutU32(&header, 0xFFFFFFFFu);
+  PutU64(&header, 0);
+  PutU32(&header, Crc32(header));
+  ASSERT_EQ(header.size(), 28u);
+  EXPECT_FALSE(DecodeSnapshot(header).ok());
 }
 
 TEST(SnapshotTest, FileRoundTripIsAtomic) {
