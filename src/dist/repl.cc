@@ -1,7 +1,8 @@
 #include "dist/repl.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "rel/table.h"
 #include "serve/protocol.h"
 #include "store/format.h"
+#include "workbench/command.h"
 
 namespace gea::dist {
 
@@ -78,25 +80,6 @@ const bool g_replication_view_registered = [] {
   obs::RegisterStatViewProvider(kStatReplicationView, ReplicationStatTable);
   return true;
 }();
-
-Result<uint64_t> GetU64Param(const serve::Request& request,
-                             const std::string& key, uint64_t fallback,
-                             bool required) {
-  auto it = request.params.find(key);
-  if (it == request.params.end()) {
-    if (required) {
-      return Status::InvalidArgument("missing parameter: " + key);
-    }
-    return fallback;
-  }
-  char* end = nullptr;
-  const uint64_t value = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("parameter " + key +
-                                   " is not an unsigned integer");
-  }
-  return value;
-}
 
 }  // namespace
 
@@ -290,34 +273,36 @@ serve::Response ReplicationHub::HandleFrames(const serve::Request& request) {
   auto fail = [&](const Status& status) {
     return serve::ErrorResponse(request.request_id, status);
   };
-  Result<uint64_t> from = GetU64Param(request, "from_lsn", 0, true);
-  if (!from.ok()) return fail(from.status());
-  Result<uint64_t> wait_ms = GetU64Param(request, "wait_ms", 500, false);
+  const workbench::CommandParams params(request.op, request.params);
+  Result<int64_t> from_param = params.Int("from_lsn", 0, INT64_MAX);
+  if (!from_param.ok()) return fail(from_param.status());
+  Result<int64_t> wait_ms = params.IntOr("wait_ms", 500, 0, INT64_MAX);
   if (!wait_ms.ok()) return fail(wait_ms.status());
+  const uint64_t from = static_cast<uint64_t>(*from_param);
 
   std::unique_lock<std::mutex> lock(mu_);
   auto covered = [&] {
-    if (*from < floor_lsn_) return false;
-    if (buffer_.empty()) return *from >= shipped_lsn_;
-    return *from + 1 >= buffer_.front().lsn;
+    if (from < floor_lsn_) return false;
+    if (buffer_.empty()) return from >= shipped_lsn_;
+    return from + 1 >= buffer_.front().lsn;
   };
   if (!covered()) {
     return fail(Status::FailedPrecondition(
         "snapshot catch-up required: follower at lsn " +
-        std::to_string(*from) + ", shippable history starts after lsn " +
+        std::to_string(from) + ", shippable history starts after lsn " +
         std::to_string(floor_lsn_)));
   }
-  if (shipped_lsn_ <= *from) {
+  if (shipped_lsn_ <= from) {
     // Long-poll: bounded wait for the next acknowledged append. The
     // handler holds no session lock (see HandlerSpec), so the append can
     // proceed and wake us.
     cv_.wait_for(lock, std::chrono::milliseconds(
-                           std::min<uint64_t>(*wait_ms, 60'000)),
-                 [&] { return shipped_lsn_ > *from; });
+                           std::min<int64_t>(*wait_ms, 60'000)),
+                 [&] { return shipped_lsn_ > from; });
     if (!covered()) {
       return fail(Status::FailedPrecondition(
           "snapshot catch-up required: follower at lsn " +
-          std::to_string(*from) + ", shippable history starts after lsn " +
+          std::to_string(from) + ", shippable history starts after lsn " +
           std::to_string(floor_lsn_)));
     }
   }
@@ -326,7 +311,7 @@ serve::Response ReplicationHub::HandleFrames(const serve::Request& request) {
   std::vector<const BufferedFrame*> picked;
   size_t bytes = 0;
   for (const BufferedFrame& frame : buffer_) {
-    if (frame.lsn <= *from) continue;
+    if (frame.lsn <= from) continue;
     if (!picked.empty() &&
         bytes + frame.framed.size() > options_.max_batch_bytes) {
       break;
@@ -347,10 +332,17 @@ serve::Response ReplicationHub::HandleFrames(const serve::Request& request) {
 }
 
 serve::Response ReplicationHub::HandleSnapshot(const serve::Request& request) {
-  (void)request;
-  // Runs under the shared session lock (HandlerSpec), so the exported
-  // catalog and its LSN are mutually consistent: mutations take the
-  // exclusive lock.
+  // Runs under the shared session lock (HandlerSpec), so no writer
+  // publishes or submits meanwhile. A served writer publishes its epoch
+  // and submits its WAL record under the exclusive lock but waits for the
+  // fsync after releasing it, so the epoch can hold writes that are not
+  // durable yet. Commit them first: then the exported catalog is exactly
+  // the durable history up to DurableLsn(). If that commit fails, the
+  // epoch holds a write that never became durable, and shipping it would
+  // let a follower outrun the primary's log.
+  if (Status committed = session_->DrainCommits(); !committed.ok()) {
+    return serve::ErrorResponse(request.request_id, committed);
+  }
   SnapshotsServed().Add(1);
   serve::Response response;
   response.text =

@@ -3,19 +3,17 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
-#include <set>
 #include <utility>
 
 #include "common/net.h"
-#include "common/strings.h"
 #include "obs/clock.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "obs/statviews.h"
 #include "obs/trace.h"
-#include "sage/library.h"
 #include "txn/group_commit.h"
 
 namespace gea::serve {
@@ -82,86 +80,24 @@ obs::Histogram& RequestHistogram() {
   return h;
 }
 
-// Commands that mutate the shared session (exclusive session lock); all
-// others execute under a shared lock.
-bool IsMutating(const std::string& op) {
-  static const std::set<std::string>* const kMutating =
-      new std::set<std::string>{
-          "aggregate",      "populate",          "diff",
-          "create_gap",     "top_gap",           "compare_gaps",
-          "gap_query",      "tissue_dataset",    "custom_dataset",
-          "generate_metadata", "mine",           "fascicles",
-          "checkpoint"};
-  return kMutating->count(op) > 0;
+using workbench::CommandParams;
+using workbench::CommandReply;
+using Reply = Result<CommandReply>;
+
+/// The response to `request`: an error, or the reply's text and table.
+Response ToResponse(const Request& request, Reply reply) {
+  if (!reply.ok()) return ErrorResponse(request.request_id, reply.status());
+  Response response;
+  response.text = std::move(reply->text);
+  response.table = std::move(reply->table);
+  return response;
 }
 
-bool RequiresAdmin(const std::string& op) { return op == "checkpoint"; }
-
-// Built-in reads that execute against a pinned MVCC catalog epoch (or
-// per-connection auth state) and therefore take NO session lock at all —
-// a checkpoint or writer burst can never block them. `ping` is absent on
-// purpose: it is the probe the admission/lock-wait tests park on the
-// shared lock, and it reads no catalog state that would benefit.
-bool LockFreeRead(const std::string& op) {
-  static const std::set<std::string>* const kLockFree =
-      new std::set<std::string>{"sql",       "tables", "get_table",
-                                "explain",   "query_log", "role",
-                                "login",     "logout"};
-  return kLockFree->count(op) > 0;
-}
-
-bool NeedsAuth(const std::string& op) {
-  // `role` is a health probe: failover tooling must be able to ask who
-  // the primary is before it can log in anywhere.
-  return op != "ping" && op != "login" && op != "logout" && op != "role";
-}
-
-// ---- Param helpers ----
-
-Result<std::string> GetParam(const Request& request, const std::string& key) {
-  auto it = request.params.find(key);
-  if (it == request.params.end()) {
-    return Status::InvalidArgument(request.op + ": missing parameter '" + key +
-                                   "'");
-  }
-  return it->second;
-}
-
-Result<int64_t> GetIntParam(const Request& request, const std::string& key) {
-  GEA_ASSIGN_OR_RETURN(std::string text, GetParam(request, key));
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument(request.op + ": parameter '" + key +
-                                   "' is not an integer: " + text);
-  }
-  return static_cast<int64_t>(value);
-}
-
-Result<double> GetDoubleParam(const Request& request, const std::string& key) {
-  GEA_ASSIGN_OR_RETURN(std::string text, GetParam(request, key));
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument(request.op + ": parameter '" + key +
-                                   "' is not a number: " + text);
-  }
-  return value;
-}
-
-bool GetBoolParam(const Request& request, const std::string& key) {
-  auto it = request.params.find(key);
-  return it != request.params.end() &&
-         (it->second == "1" || it->second == "true");
-}
-
-rel::Table NamesTable(const std::string& column,
-                      const std::vector<std::string>& names) {
-  rel::Table table("query", rel::Schema({{column, rel::ValueType::kString}}));
-  for (const std::string& name : names) {
-    table.AppendRowUnchecked({rel::Value::String(name)});
-  }
-  return table;
+/// Adapts a command body to a Handler.
+QueryServer::Handler Serve(std::function<Reply(const Request&)> body) {
+  return [body = std::move(body)](const Request& request) {
+    return ToResponse(request, body(request));
+  };
 }
 
 }  // namespace
@@ -297,6 +233,7 @@ QueryServer::QueryServer(workbench::AnalysisSession* session,
       stats_(std::make_unique<LiveStats>()) {
   if (options_.num_workers == 0) options_.num_workers = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
+  RegisterBuiltins();
   std::lock_guard<std::mutex> lock(g_servers_mu);
   Servers().push_back(this);
 }
@@ -700,103 +637,14 @@ Status QueryServer::WriteResponse(Connection& conn, Response& response,
 
 // ---- Execution ----
 
-Response QueryServer::Execute(Connection& conn, const Request& request) {
-  // Registered handlers are consulted before the built-ins, so a router
-  // can override e.g. `aggregate` with a scatter-gather implementation
-  // while everything else falls through to the local session.
-  const HandlerEntry* handler = nullptr;
-  if (auto it = handlers_.find(request.op); it != handlers_.end()) {
-    handler = &it->second;
-  }
-  const bool needs_auth =
-      handler != nullptr ? handler->spec.needs_auth : NeedsAuth(request.op);
-  const bool admin_only = handler != nullptr ? handler->spec.admin_only
-                                             : RequiresAdmin(request.op);
-  const bool mutating =
-      handler != nullptr ? handler->spec.mutating : IsMutating(request.op);
-
-  if (needs_auth && !conn.authenticated.load(std::memory_order_acquire)) {
-    return ErrorResponse(
-        request.request_id,
-        Status::PermissionDenied("please authenticate with 'login' first"));
-  }
-  if (admin_only && conn.level.load(std::memory_order_acquire) !=
-                        static_cast<int>(workbench::AccessLevel::kAdministrator)) {
-    return ErrorResponse(request.request_id,
-                         Status::PermissionDenied(
-                             request.op + " requires administrator access"));
-  }
-  // Role-aware admission: a replica serves reads and refuses writes, so
-  // a client that mistakes a replica for the primary hears a clean
-  // FailedPrecondition instead of diverging the copies. Promotion ops
-  // opt out via allow_on_replica.
-  if (mutating && Role() == ServerRole::kReplica &&
-      (handler == nullptr || !handler->spec.allow_on_replica)) {
-    return ErrorResponse(
-        request.request_id,
-        Status::FailedPrecondition(
-            request.op +
-            ": this server is a read-only replica; send writes to the "
-            "primary"));
-  }
-
-  auto run = [&]() -> Response {
-    if (handler != nullptr) {
-      Response response = handler->fn(request);
-      response.request_id = request.request_id;
-      return response;
-    }
-    return Dispatch(conn, request);
-  };
-  if (handler != nullptr && !handler->spec.needs_session_lock) {
-    // Blocking handlers (the replication long-poll) synchronize on their
-    // own state; holding a session lock here could deadlock against the
-    // very mutation the poll is waiting for.
-    return run();
-  }
-  if (handler == nullptr && !mutating && LockFreeRead(request.op)) {
-    // MVCC read path: the operator pins the current catalog epoch and
-    // runs against that immutable version, so no lock is needed and no
-    // writer can ever block it.
-    return run();
-  }
-  if (mutating) {
-    // The exclusive lock now orders only writer-vs-writer catalog
-    // mutation. Durability is NOT awaited under the lock: the session
-    // runs with deferred commits, we collect the ticket here and wait
-    // after unlocking, so concurrent writers' records coalesce into one
-    // group-commit fsync.
+void QueryServer::RegisterBuiltins() {
+  // `ping` is auth-free and keeps the shared session lock: it is the
+  // probe the admission and lock-wait tests park on.
+  HandlerSpec open;
+  open.needs_auth = false;
+  RegisterHandler("ping", open, [](const Request& request) {
     Response response;
-    std::shared_ptr<txn::CommitTicket> ticket;
-    {
-      std::unique_lock<SharedTimedMutex> lock(session_mu_);
-      response = run();
-      ticket = session_->TakePendingCommit();
-    }
-    if (ticket != nullptr) {
-      if (Status durable = ticket->Wait();
-          !durable.ok() && response.code == StatusCode::kOk) {
-        return ErrorResponse(request.request_id, durable);
-      }
-    }
-    return response;
-  }
-  std::shared_lock<SharedTimedMutex> lock(session_mu_);
-  return run();
-}
-
-Response QueryServer::Dispatch(Connection& conn, const Request& request) {
-  Response response;
-  response.request_id = request.request_id;
-  const std::string& op = request.op;
-
-  auto fail = [&](const Status& status) {
-    return ErrorResponse(request.request_id, status);
-  };
-
-  if (op == "ping") {
-    auto it = request.params.find("sleep_ms");
-    if (it != request.params.end()) {
+    if (auto it = request.params.find("sleep_ms"); it != request.params.end()) {
       // Test hook: occupy this worker for a bounded while, so admission
       // tests can fill the queue deterministically.
       const long ms = std::min(std::strtol(it->second.c_str(), nullptr, 10),
@@ -805,12 +653,14 @@ Response QueryServer::Dispatch(Connection& conn, const Request& request) {
     }
     response.text = "pong";
     return response;
-  }
+  });
 
-  if (op == "role") {
-    // Role + dist-layer detail as (name, value) rows — the health probe
-    // behind the shell's \role and QueryClient::WaitForLsn. Auth-free
-    // like ping: failover tooling must see the role before logging in.
+  // Role + dist-layer detail as (name, value) rows — the health probe
+  // behind the shell's \role and QueryClient::WaitForLsn. Auth-free like
+  // ping: failover tooling must see the role before it can log in.
+  HandlerSpec probe = open;
+  probe.needs_session_lock = false;
+  RegisterHandler("role", probe, Serve([this](const Request&) -> Reply {
     rel::Table table("role",
                      rel::Schema({{"name", rel::ValueType::kString},
                                   {"value", rel::ValueType::kString}}));
@@ -822,87 +672,44 @@ Response QueryServer::Dispatch(Connection& conn, const Request& request) {
             {rel::Value::String(name), rel::Value::String(value)});
       }
     }
-    response.table = std::move(table);
-    return response;
-  }
+    return CommandReply{"", std::move(table)};
+  }));
 
-  if (op == "login") {
-    Result<std::string> user = GetParam(request, "user");
-    Result<std::string> password = GetParam(request, "password");
-    if (!user.ok()) return fail(user.status());
-    if (!password.ok()) return fail(password.status());
-    workbench::AccessLevel level = workbench::AccessLevel::kUser;
-    auto level_it = request.params.find("level");
-    if (level_it != request.params.end()) {
-      if (level_it->second == "admin" ||
-          level_it->second == "administrator") {
-        level = workbench::AccessLevel::kAdministrator;
-      } else if (level_it->second != "user") {
-        return fail(Status::InvalidArgument("unknown access level: " +
-                                            level_it->second));
-      }
-    }
-    Result<workbench::AccessLevel> granted =
-        session_->AuthenticateUser(*user, *password, level);
-    if (!granted.ok()) return fail(granted.status());
-    conn.level.store(static_cast<int>(*granted), std::memory_order_release);
-    conn.authenticated.store(true, std::memory_order_release);
-    conn.SetUser(*user);
-    response.text = "logged in as " + *user + " (" +
-                    workbench::AccessLevelName(*granted) + ")";
-    return response;
-  }
-
-  if (op == "logout") {
-    conn.authenticated.store(false, std::memory_order_release);
-    conn.level.store(0, std::memory_order_release);
-    conn.SetUser("");
-    response.text = "logged out";
-    return response;
-  }
-
-  if (op == "sql") {
-    Result<std::string> query = GetParam(request, "query");
-    if (!query.ok()) return fail(query.status());
-    Result<rel::Table> table = session_->Query(*query);
-    if (!table.ok()) return fail(table.status());
-    response.table = std::move(*table);
-    return response;
-  }
-
-  if (op == "tables") {
-    // Snapshot-based: runs lock-free against the pinned epoch.
-    response.table = NamesTable("name", session_->SnapshotTableNames());
-    return response;
-  }
-
-  if (op == "get_table") {
-    Result<std::string> name = GetParam(request, "name");
-    if (!name.ok()) return fail(name.status());
-    Result<rel::Table> table = session_->MaterializeAnyTable(*name);
-    if (!table.ok()) return fail(table.status());
-    response.table = std::move(*table);
-    return response;
-  }
-
-  if (op == "explain") {
-    Result<std::string> rendered = session_->ExplainLast();
-    if (!rendered.ok()) return fail(rendered.status());
-    response.text = std::move(*rendered);
-    return response;
-  }
-
-  if (op == "query_log") {
+  // Reads take no session lock: each pins the current catalog epoch (or
+  // copies the query log under its own mutex), so no writer or
+  // checkpoint can block it.
+  HandlerSpec read;
+  read.needs_session_lock = false;
+  RegisterHandler("sql", read, Serve([this](const Request& r) -> Reply {
+    GEA_ASSIGN_OR_RETURN(std::string query,
+                         CommandParams(r.op, r.params).String("query"));
+    GEA_ASSIGN_OR_RETURN(rel::Table table, session_->Query(query));
+    return CommandReply{"", std::move(table)};
+  }));
+  RegisterHandler("tables", read, Serve([this](const Request&) -> Reply {
+    return CommandReply{
+        "", workbench::NamesTable("name", session_->SnapshotTableNames())};
+  }));
+  RegisterHandler("get_table", read, Serve([this](const Request& r) -> Reply {
+    GEA_ASSIGN_OR_RETURN(std::string name,
+                         CommandParams(r.op, r.params).String("name"));
+    GEA_ASSIGN_OR_RETURN(rel::Table table, session_->MaterializeAnyTable(name));
+    return CommandReply{"", std::move(table)};
+  }));
+  RegisterHandler("explain", read, Serve([this](const Request&) -> Reply {
+    GEA_ASSIGN_OR_RETURN(std::string rendered, session_->ExplainLast());
+    return CommandReply{std::move(rendered), {}};
+  }));
+  RegisterHandler("query_log", read, Serve([this](const Request& r) -> Reply {
+    // The last `limit` entries; absent or negative means all of them.
+    GEA_ASSIGN_OR_RETURN(int64_t limit,
+                         CommandParams(r.op, r.params)
+                             .IntOr("limit", -1, INT64_MIN, INT64_MAX));
     std::vector<workbench::AnalysisSession::QueryLogEntry> log =
         session_->QueryLog();
-    size_t first = 0;
-    if (auto it = request.params.find("limit"); it != request.params.end()) {
-      Result<int64_t> limit = GetIntParam(request, "limit");
-      if (!limit.ok()) return fail(limit.status());
-      if (*limit >= 0 && static_cast<size_t>(*limit) < log.size()) {
-        first = log.size() - static_cast<size_t>(*limit);
-      }
-    }
+    const size_t first = limit >= 0 && static_cast<size_t>(limit) < log.size()
+                             ? log.size() - static_cast<size_t>(limit)
+                             : 0;
     rel::Table table("query",
                      rel::Schema({{"operation", rel::ValueType::kString},
                                   {"detail", rel::ValueType::kString},
@@ -917,191 +724,130 @@ Response QueryServer::Dispatch(Connection& conn, const Request& request) {
            rel::Value::Int(log[i].ok ? 1 : 0),
            rel::Value::String(log[i].error)});
     }
-    response.table = std::move(table);
+    return CommandReply{"", std::move(table)};
+  }));
+
+  // The served writes: the session's command table decodes and runs
+  // them, under the exclusive lock.
+  HandlerSpec write;
+  write.mutating = true;
+  for (const char* op :
+       {"tissue_dataset", "custom_dataset", "generate_metadata", "mine",
+        "fascicles", "aggregate", "populate", "diff", "create_gap", "top_gap",
+        "compare_gaps", "gap_query"}) {
+    RegisterHandler(op, write, Serve([this](const Request& r) {
+                      return session_->RunCommand(r.op, r.params);
+                    }));
+  }
+  HandlerSpec admin = write;
+  admin.admin_only = true;
+  RegisterHandler("checkpoint", admin, Serve([this](const Request&) -> Reply {
+    GEA_RETURN_IF_ERROR(session_->Checkpoint());
+    return CommandReply{"checkpoint complete", {}};
+  }));
+}
+
+Reply QueryServer::Login(Connection& conn, const Request& request) {
+  CommandParams params(request.op, request.params);
+  GEA_ASSIGN_OR_RETURN(std::string user, params.String("user"));
+  GEA_ASSIGN_OR_RETURN(std::string password, params.String("password"));
+  workbench::AccessLevel level = workbench::AccessLevel::kUser;
+  if (auto it = request.params.find("level"); it != request.params.end()) {
+    if (it->second == "admin" || it->second == "administrator") {
+      level = workbench::AccessLevel::kAdministrator;
+    } else if (it->second != "user") {
+      return Status::InvalidArgument("unknown access level: " + it->second);
+    }
+  }
+  GEA_ASSIGN_OR_RETURN(workbench::AccessLevel granted,
+                       session_->AuthenticateUser(user, password, level));
+  conn.level.store(static_cast<int>(granted), std::memory_order_release);
+  conn.authenticated.store(true, std::memory_order_release);
+  conn.SetUser(user);
+  return CommandReply{"logged in as " + user + " (" +
+                          workbench::AccessLevelName(granted) + ")",
+                      {}};
+}
+
+Response QueryServer::Execute(Connection& conn, const Request& request) {
+  // login and logout change this connection's rights, so they live with
+  // the connection rather than in the registry.
+  if (request.op == "login") return ToResponse(request, Login(conn, request));
+  if (request.op == "logout") {
+    conn.authenticated.store(false, std::memory_order_release);
+    conn.level.store(0, std::memory_order_release);
+    conn.SetUser("");
+    Response response;
+    response.text = "logged out";
     return response;
   }
 
-  if (op == "aggregate") {
-    Result<std::string> enum_name = GetParam(request, "enum");
-    Result<std::string> out = GetParam(request, "out");
-    if (!enum_name.ok()) return fail(enum_name.status());
-    if (!out.ok()) return fail(out.status());
-    Status status = session_->Aggregate(*enum_name, *out,
-                                        GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *out;
-    return response;
+  const bool authenticated = conn.authenticated.load(std::memory_order_acquire);
+  auto it = handlers_.find(request.op);
+  const bool known = it != handlers_.end();
+  if (!authenticated && (!known || it->second.spec.needs_auth)) {
+    // Before login, an unknown command is refused like any other.
+    return ErrorResponse(
+        request.request_id,
+        Status::PermissionDenied("please authenticate with 'login' first"));
+  }
+  if (!known) {
+    return ErrorResponse(
+        request.request_id,
+        Status::InvalidArgument("unknown command: " + request.op));
+  }
+  const HandlerSpec& spec = it->second.spec;
+  const Handler& handler = it->second.fn;
+  if (spec.admin_only &&
+      conn.level.load(std::memory_order_acquire) !=
+          static_cast<int>(workbench::AccessLevel::kAdministrator)) {
+    return ErrorResponse(request.request_id,
+                         Status::PermissionDenied(
+                             request.op + " requires administrator access"));
+  }
+  // Role-aware admission: a replica serves reads and refuses writes, so
+  // a client that mistakes a replica for the primary hears a clean
+  // FailedPrecondition instead of diverging the copies. Promotion ops
+  // opt out via allow_on_replica.
+  if (spec.mutating && Role() == ServerRole::kReplica &&
+      !spec.allow_on_replica) {
+    return ErrorResponse(
+        request.request_id,
+        Status::FailedPrecondition(
+            request.op +
+            ": this server is a read-only replica; send writes to the "
+            "primary"));
   }
 
-  if (op == "populate") {
-    Result<std::string> sumy = GetParam(request, "sumy");
-    Result<std::string> base = GetParam(request, "base");
-    Result<std::string> out = GetParam(request, "out");
-    if (!sumy.ok()) return fail(sumy.status());
-    if (!base.ok()) return fail(base.status());
-    if (!out.ok()) return fail(out.status());
-    Status status = session_->Populate(*sumy, *base, *out,
-                                       GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *out;
-    return response;
+  if (!spec.needs_session_lock) {
+    // MVCC reads pin their own epoch, and blocking handlers (the
+    // replication long-poll) must not hold a session lock the very
+    // mutation they wait for needs.
+    return handler(request);
   }
-
-  if (op == "diff" || op == "create_gap") {
-    Result<std::string> sumy1 = GetParam(request, "sumy1");
-    Result<std::string> sumy2 = GetParam(request, "sumy2");
-    Result<std::string> gap = GetParam(request, "gap");
-    if (!sumy1.ok()) return fail(sumy1.status());
-    if (!sumy2.ok()) return fail(sumy2.status());
-    if (!gap.ok()) return fail(gap.status());
-    Status status = session_->CreateGap(*sumy1, *sumy2, *gap,
-                                        GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *gap;
-    return response;
-  }
-
-  if (op == "top_gap") {
-    Result<std::string> gap = GetParam(request, "gap");
-    Result<int64_t> x = GetIntParam(request, "x");
-    if (!gap.ok()) return fail(gap.status());
-    if (!x.ok()) return fail(x.status());
-    if (*x < 0) return fail(Status::InvalidArgument("x must be >= 0"));
-    core::TopGapMode mode = core::TopGapMode::kLargestMagnitude;
-    if (request.params.count("mode") > 0) {
-      Result<int64_t> m = GetIntParam(request, "mode");
-      if (!m.ok()) return fail(m.status());
-      if (*m < 0 || *m > 2) {
-        return fail(Status::InvalidArgument("mode must be in 0..2"));
+  if (spec.mutating) {
+    // The exclusive lock now orders only writer-vs-writer catalog
+    // mutation. Durability is NOT awaited under the lock: the session
+    // runs with deferred commits, we collect the ticket here and wait
+    // after unlocking, so concurrent writers' records coalesce into one
+    // group-commit fsync.
+    Response response;
+    std::shared_ptr<txn::CommitTicket> ticket;
+    {
+      std::unique_lock<SharedTimedMutex> lock(session_mu_);
+      response = handler(request);
+      ticket = session_->TakePendingCommit();
+    }
+    if (ticket != nullptr) {
+      if (Status durable = ticket->Wait();
+          !durable.ok() && response.code == StatusCode::kOk) {
+        return ErrorResponse(request.request_id, durable);
       }
-      mode = static_cast<core::TopGapMode>(*m);
     }
-    Result<std::string> name =
-        session_->CalculateTopGap(*gap, static_cast<size_t>(*x), mode);
-    if (!name.ok()) return fail(name.status());
-    response.text = std::move(*name);
     return response;
   }
-
-  if (op == "compare_gaps") {
-    Result<std::string> a = GetParam(request, "a");
-    Result<std::string> b = GetParam(request, "b");
-    Result<int64_t> kind = GetIntParam(request, "kind");
-    Result<std::string> out = GetParam(request, "out");
-    if (!a.ok()) return fail(a.status());
-    if (!b.ok()) return fail(b.status());
-    if (!kind.ok()) return fail(kind.status());
-    if (!out.ok()) return fail(out.status());
-    if (*kind < 0 || *kind > 2) {
-      return fail(Status::InvalidArgument("kind must be in 0..2"));
-    }
-    Status status = session_->CompareGapTables(
-        *a, *b, static_cast<core::GapCompareKind>(*kind), *out,
-        GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *out;
-    return response;
-  }
-
-  if (op == "gap_query") {
-    Result<std::string> compared = GetParam(request, "compared");
-    Result<int64_t> query = GetIntParam(request, "query");
-    Result<std::string> out = GetParam(request, "out");
-    if (!compared.ok()) return fail(compared.status());
-    if (!query.ok()) return fail(query.status());
-    if (!out.ok()) return fail(out.status());
-    if (*query < 1 || *query > 13) {
-      return fail(Status::InvalidArgument("query must be in 1..13"));
-    }
-    Status status = session_->RunGapQuery(
-        *compared, static_cast<core::GapCompareQuery>(*query), *out,
-        GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *out;
-    return response;
-  }
-
-  if (op == "tissue_dataset") {
-    Result<std::string> tissue = GetParam(request, "tissue");
-    if (!tissue.ok()) return fail(tissue.status());
-    Result<sage::TissueType> type = sage::ParseTissueType(*tissue);
-    if (!type.ok()) return fail(type.status());
-    Status status = session_->CreateTissueDataSet(
-        *type, GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *tissue;
-    return response;
-  }
-
-  if (op == "custom_dataset") {
-    Result<std::string> name = GetParam(request, "name");
-    Result<std::string> libs = GetParam(request, "libs");
-    if (!name.ok()) return fail(name.status());
-    if (!libs.ok()) return fail(libs.status());
-    std::vector<int> library_ids;
-    for (const std::string& part : Split(*libs, ',')) {
-      char* end = nullptr;
-      const long id = std::strtol(part.c_str(), &end, 10);
-      if (end == part.c_str() || *end != '\0') {
-        return fail(
-            Status::InvalidArgument("bad library id in libs: " + part));
-      }
-      library_ids.push_back(static_cast<int>(id));
-    }
-    Status status = session_->CreateCustomDataSet(
-        *name, library_ids, GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *name;
-    return response;
-  }
-
-  if (op == "generate_metadata") {
-    Result<std::string> dataset = GetParam(request, "dataset");
-    Result<double> percent = GetDoubleParam(request, "percent");
-    Result<std::string> meta = GetParam(request, "meta");
-    if (!dataset.ok()) return fail(dataset.status());
-    if (!percent.ok()) return fail(percent.status());
-    if (!meta.ok()) return fail(meta.status());
-    Status status = session_->GenerateMetadata(
-        *dataset, *percent, *meta, GetBoolParam(request, "replace"));
-    if (!status.ok()) return fail(status);
-    response.text = "created " + *meta;
-    return response;
-  }
-
-  if (op == "mine" || op == "fascicles") {
-    Result<std::string> dataset = GetParam(request, "dataset");
-    Result<std::string> meta = GetParam(request, "meta");
-    Result<int64_t> min_compact = GetIntParam(request, "min_compact_tags");
-    Result<int64_t> batch_size = GetIntParam(request, "batch_size");
-    Result<int64_t> min_size = GetIntParam(request, "min_size");
-    Result<std::string> out_prefix = GetParam(request, "out_prefix");
-    if (!dataset.ok()) return fail(dataset.status());
-    if (!meta.ok()) return fail(meta.status());
-    if (!min_compact.ok()) return fail(min_compact.status());
-    if (!batch_size.ok()) return fail(batch_size.status());
-    if (!min_size.ok()) return fail(min_size.status());
-    if (!out_prefix.ok()) return fail(out_prefix.status());
-    if (*min_compact < 0 || *batch_size < 0 || *min_size < 0) {
-      return fail(Status::InvalidArgument("sizes must be >= 0"));
-    }
-    Result<std::vector<std::string>> fascicles = session_->CalculateFascicles(
-        *dataset, *meta, static_cast<size_t>(*min_compact),
-        static_cast<size_t>(*batch_size), static_cast<size_t>(*min_size),
-        *out_prefix);
-    if (!fascicles.ok()) return fail(fascicles.status());
-    response.table = NamesTable("fascicle", *fascicles);
-    return response;
-  }
-
-  if (op == "checkpoint") {
-    Status status = session_->Checkpoint();
-    if (!status.ok()) return fail(status);
-    response.text = "checkpoint complete";
-    return response;
-  }
-
-  return fail(Status::InvalidArgument("unknown command: " + op));
+  std::shared_lock<SharedTimedMutex> lock(session_mu_);
+  return handler(request);
 }
 
 }  // namespace gea::serve

@@ -54,12 +54,18 @@ struct ServerOptions {
 /// One accept thread hands each connection to a dedicated reader thread
 /// and, on each accept, joins the readers whose connections have closed.
 /// Readers decode frames and push requests onto a bounded admission
-/// queue; `num_workers` workers drain it. Execution takes a
-/// std::shared_mutex over the session: read-only commands (sql, tables,
-/// explain, ...) run concurrently under a shared lock, mutating commands
-/// (populate, aggregate, diff, checkpoint, ...) take it exclusively —
-/// single-writer / many-readers, matching what AnalysisSession can
-/// actually tolerate.
+/// queue; `num_workers` workers drain it.
+///
+/// ## One command registry
+///
+/// Every command but `login`/`logout` (they change the connection's
+/// rights, so they stay with it) is one registry entry: the constructor
+/// registers the built-ins, RegisterHandler adds or replaces entries. A
+/// request does one lookup, and the entry's HandlerSpec picks auth,
+/// admin, the replica gate and the session lock: writes and checkpoint
+/// take it exclusively (single writer), `ping` shared, and the MVCC reads
+/// and `role` not at all. Served writes run through
+/// AnalysisSession::RunCommand, the decoder WAL replay uses too.
 ///
 /// ## Admission control
 ///
@@ -77,8 +83,10 @@ struct ServerOptions {
 /// owns it; Start() enforces this). Each *connection* then authenticates
 /// itself with the `login` command, checked against the same user
 /// database via AnalysisSession::AuthenticateUser — per-connection auth
-/// state on top of one shared session. Commands other than `ping` and
-/// `login` require connection auth; `checkpoint` requires administrator.
+/// state on top of one shared session. Commands other than `ping`,
+/// `role`, `login` and `logout` require connection auth; `checkpoint`
+/// requires administrator. Before login an unknown command is
+/// PermissionDenied; after it, InvalidArgument.
 ///
 /// ## Durability
 ///
@@ -90,6 +98,7 @@ struct ServerOptions {
 /// ## Commands
 ///
 ///   ping        [sleep_ms]                       no auth; echoes "pong"
+///   role                                         no auth -> table
 ///   login       user, password, level(user|admin)
 ///   logout
 ///   sql         query                             -> table
@@ -107,10 +116,12 @@ struct ServerOptions {
 ///   custom_dataset name, libs("1,2,3"), [replace]
 ///   generate_metadata dataset, percent, meta, [replace]
 ///   mine        dataset, meta, min_compact_tags, batch_size, min_size,
-///               out_prefix                       -> table (fascicle names)
+///               out_prefix, [algorithm 0..1, default 1 = greedy]
+///               (alias: fascicles)               -> table (fascicle names)
 ///   checkpoint                                   admin only
 ///
-/// Boolean params accept "1"/"true"; absent means false.
+/// Boolean params accept "1"/"true" and "0"/"false"; absent means false,
+/// anything else is InvalidArgument.
 ///
 /// ## Request tracing
 ///
@@ -189,8 +200,9 @@ class QueryServer {
     role_info_ = std::move(provider);
   }
 
-  /// A custom wire command, consulted BEFORE the built-ins (an override
-  /// of a built-in op replaces it wholesale). `mutating` picks the
+  /// Adds a wire command to the one registry, or replaces the entry of
+  /// that name — a built-in included, which is how the router overrides
+  /// e.g. `aggregate` with a scatter-gather. `mutating` picks the
   /// exclusive session lock; `needs_session_lock = false` skips the
   /// session lock entirely — required for handlers that block (the
   /// replication long-poll must not hold a session lock while waiting
@@ -223,8 +235,13 @@ class QueryServer {
 
   /// Executes one admitted request and writes its response.
   void RunTask(Task task);
+  /// Looks the request's command up in the registry and runs it under
+  /// its HandlerSpec.
   Response Execute(Connection& conn, const Request& request);
-  Response Dispatch(Connection& conn, const Request& request);
+  /// Registers the built-in commands (constructor only).
+  void RegisterBuiltins();
+  Result<workbench::CommandReply> Login(Connection& conn,
+                                       const Request& request);
   /// Encodes and writes one response. With `stages`, measures the encode
   /// and write stages into it and patches the response's wire timing
   /// block (when present) before framing; `account` supplies the

@@ -339,7 +339,7 @@ Status AnalysisSession::GenerateMetadata(const std::string& dataset_name,
   GEA_RETURN_IF_ERROR(RequireWritable());
   return Logged("generate_metadata", dataset_name + " -> " + meta_name,
                 [&]() -> Status {
-    if (percent < 0.0 || percent > 100.0) {
+    if (!(percent >= 0.0 && percent <= 100.0)) {  // NaN fails too
       return Status::InvalidArgument("percent must be in [0, 100]");
     }
     if (PinSnapshot()->metadata.count(meta_name) > 0 && !replace) {
@@ -948,7 +948,6 @@ std::shared_ptr<txn::CommitTicket> AnalysisSession::TakePendingCommit() {
 }
 
 Status AnalysisSession::DrainCommits() {
-  pending_commit_.reset();
   if (committer_ == nullptr) return Status::OK();
   return committer_->Drain();
 }

@@ -31,6 +31,7 @@
 #include "txn/epoch.h"
 #include "txn/group_commit.h"
 #include "txn/snapshot.h"
+#include "workbench/command.h"
 #include "workbench/users.h"
 
 namespace gea::workbench {
@@ -172,10 +173,10 @@ class AnalysisSession {
   void SetReadOnly(bool read_only) { read_only_ = read_only; }
   bool ReadOnly() const { return read_only_; }
 
-  /// Re-executes one shipped WAL record through the normal operator
-  /// methods (the same dispatch recovery replay uses), bypassing the
-  /// read-only guard and suppressing local WAL re-append. The caller must
-  /// be logged in, and must apply records in shipped LSN order.
+  /// Re-executes one shipped WAL record the way recovery replay does
+  /// (logical records through RunCommand), bypassing the read-only guard
+  /// and suppressing local WAL re-append. The caller must be logged in,
+  /// and must apply records in shipped LSN order.
   Status ApplyReplicatedRecord(const store::WalRecord& record);
 
   /// The whole catalog as one blob (the in-memory snapshot codec over
@@ -238,7 +239,10 @@ class AnalysisSession {
   /// after releasing, so concurrent writers' fsyncs batch.
   std::shared_ptr<txn::CommitTicket> TakePendingCommit();
 
-  /// Flushes every queued commit (leads the batch if necessary).
+  /// Commits every record submitted so far (leads the batch if
+  /// necessary) and returns the committer's error, if any. Thread-safe:
+  /// it touches no writer state, so a reader holding the shared session
+  /// lock may call it (replication's snapshot export does).
   Status DrainCommits();
 
   // ---- Data sets (Figs. 4.4 and 4.15) ----
@@ -332,6 +336,18 @@ class AnalysisSession {
   Status RunGapQuery(const std::string& compared_name,
                      core::GapCompareQuery query,
                      const std::string& out_name, bool replace = false);
+
+  // ---- Named commands (command.cc) ----
+
+  /// Decodes `params` for the named command and runs its operator: the
+  /// one mapping from an op name onto the methods above. Covers every
+  /// logical op the WAL logs, under its logged name, plus the wire
+  /// spellings `diff` and `mine`. The reply is what the wire sends:
+  /// `created <name>`, the stored name for `top_gap`, the table of
+  /// fascicle names for `fascicles`/`mine`. An unknown op or a bad
+  /// parameter is InvalidArgument, and runs nothing.
+  Result<CommandReply> RunCommand(
+      const std::string& op, const std::map<std::string, std::string>& params);
 
   // ---- Search operations (Section 4.4.4.2) ----
 
@@ -509,7 +525,8 @@ class AnalysisSession {
   /// group committer, waits inline (or stashes the ticket when deferred
   /// commits are on), and applies the automatic checkpoint policy.
   Status CommitWalRecord(store::WalRecord record);
-  /// Re-executes one WAL record through the public operator methods.
+  /// Re-executes one WAL record: the data-set blob through LoadDataSet,
+  /// every logical record through RunCommand.
   Status ReplayWalRecord(const store::WalRecord& record);
   /// Maps `catalog` and the lineage graph onto snapshot sections.
   store::SnapshotImage BuildSnapshotImage(

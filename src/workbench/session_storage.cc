@@ -1,8 +1,6 @@
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
-#include "common/strings.h"
 #include "core/serialization.h"
 #include "obs/statviews.h"
 #include "rel/table_io.h"
@@ -12,8 +10,8 @@
 
 /// Durable-storage half of AnalysisSession: mapping the session state
 /// onto snapshot sections and back, SaveDatabase / LoadDatabase over
-/// those sections, replaying logical WAL records through the public
-/// operator methods, and the open/checkpoint/close plumbing. The
+/// those sections, replaying WAL records (logical ones through
+/// RunCommand), and the open/checkpoint/close plumbing. The
 /// WAL-append call sites themselves live next to each operator in
 /// session.cc.
 
@@ -188,50 +186,6 @@ Result<store::SnapshotImage> ReadDatabaseDirectory(
   return image;
 }
 
-// ---- WAL parameter accessors ----
-
-Result<std::string> Param(const std::map<std::string, std::string>& params,
-                          const std::string& key) {
-  auto it = params.find(key);
-  if (it == params.end()) {
-    return Status::InvalidArgument("WAL record is missing parameter: " + key);
-  }
-  return it->second;
-}
-
-Result<int64_t> IntParam(const std::map<std::string, std::string>& params,
-                         const std::string& key) {
-  GEA_ASSIGN_OR_RETURN(std::string text, Param(params, key));
-  char* end = nullptr;
-  long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("WAL parameter " + key +
-                                   " is not an integer: " + text);
-  }
-  return static_cast<int64_t>(v);
-}
-
-Result<double> DoubleParam(const std::map<std::string, std::string>& params,
-                           const std::string& key) {
-  GEA_ASSIGN_OR_RETURN(std::string text, Param(params, key));
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("WAL parameter " + key +
-                                   " is not a number: " + text);
-  }
-  return v;
-}
-
-Result<bool> BoolParam(const std::map<std::string, std::string>& params,
-                       const std::string& key) {
-  GEA_ASSIGN_OR_RETURN(std::string text, Param(params, key));
-  if (text == "1") return true;
-  if (text == "0") return false;
-  return Status::InvalidArgument("WAL parameter " + key +
-                                 " is not a boolean: " + text);
-}
-
 }  // namespace
 
 // ---- Attach / checkpoint / detach ----
@@ -252,7 +206,7 @@ Status AnalysisSession::OpenStorage(const std::string& directory,
   if (opened.snapshot.has_value()) {
     GEA_RETURN_IF_ERROR(RestoreFromSnapshotImage(*opened.snapshot));
   }
-  // Replay is routed through the public operator methods, which are
+  // Replay runs each record through RunCommand's operators, which are
   // deterministic, so the rebuilt catalog matches the pre-crash one. The
   // guard keeps the replayed operations from being re-appended.
   replaying_wal_ = true;
@@ -379,7 +333,6 @@ Status AnalysisSession::ApplySnapshotBlob(std::string_view blob) {
 }
 
 Status AnalysisSession::ReplayWalRecord(const store::WalRecord& record) {
-  const auto& p = record.params;
   if (record.type == store::WalRecord::Type::kBlob) {
     if (record.op == "load_dataset") {
       GEA_ASSIGN_OR_RETURN(sage::SageDataSet dataset,
@@ -388,110 +341,7 @@ Status AnalysisSession::ReplayWalRecord(const store::WalRecord& record) {
     }
     return Status::InvalidArgument("unknown WAL blob kind: " + record.op);
   }
-
-  if (record.op == "tissue_dataset") {
-    GEA_ASSIGN_OR_RETURN(std::string tissue, Param(p, "tissue"));
-    GEA_ASSIGN_OR_RETURN(sage::TissueType type, sage::ParseTissueType(tissue));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return CreateTissueDataSet(type, replace);
-  }
-  if (record.op == "custom_dataset") {
-    GEA_ASSIGN_OR_RETURN(std::string name, Param(p, "name"));
-    GEA_ASSIGN_OR_RETURN(std::string ids_text, Param(p, "ids"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    std::vector<int> ids;
-    for (const std::string& token : Split(ids_text, ',')) {
-      if (token.empty()) continue;
-      ids.push_back(std::atoi(token.c_str()));
-    }
-    return CreateCustomDataSet(name, ids, replace);
-  }
-  if (record.op == "generate_metadata") {
-    GEA_ASSIGN_OR_RETURN(std::string dataset, Param(p, "dataset"));
-    GEA_ASSIGN_OR_RETURN(double percent, DoubleParam(p, "percent"));
-    GEA_ASSIGN_OR_RETURN(std::string meta, Param(p, "meta"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return GenerateMetadata(dataset, percent, meta, replace);
-  }
-  if (record.op == "fascicles") {
-    GEA_ASSIGN_OR_RETURN(std::string dataset, Param(p, "dataset"));
-    GEA_ASSIGN_OR_RETURN(std::string meta, Param(p, "meta"));
-    GEA_ASSIGN_OR_RETURN(int64_t min_compact, IntParam(p, "min_compact_tags"));
-    GEA_ASSIGN_OR_RETURN(int64_t batch, IntParam(p, "batch_size"));
-    GEA_ASSIGN_OR_RETURN(int64_t min_size, IntParam(p, "min_size"));
-    GEA_ASSIGN_OR_RETURN(std::string prefix, Param(p, "out_prefix"));
-    GEA_ASSIGN_OR_RETURN(int64_t algorithm, IntParam(p, "algorithm"));
-    return CalculateFascicles(
-               dataset, meta, static_cast<size_t>(min_compact),
-               static_cast<size_t>(batch), static_cast<size_t>(min_size),
-               prefix,
-               static_cast<cluster::FascicleParams::Algorithm>(algorithm))
-        .status();
-  }
-  if (record.op == "control_groups") {
-    GEA_ASSIGN_OR_RETURN(std::string dataset, Param(p, "dataset"));
-    GEA_ASSIGN_OR_RETURN(std::string fascicle, Param(p, "fascicle"));
-    return FormControlGroups(dataset, fascicle).status();
-  }
-  if (record.op == "aggregate") {
-    GEA_ASSIGN_OR_RETURN(std::string in, Param(p, "enum"));
-    GEA_ASSIGN_OR_RETURN(std::string out, Param(p, "out"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return Aggregate(in, out, replace);
-  }
-  if (record.op == "populate") {
-    GEA_ASSIGN_OR_RETURN(std::string sumy, Param(p, "sumy"));
-    GEA_ASSIGN_OR_RETURN(std::string base, Param(p, "base"));
-    GEA_ASSIGN_OR_RETURN(std::string out, Param(p, "out"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return Populate(sumy, base, out, replace);
-  }
-  if (record.op == "create_gap") {
-    GEA_ASSIGN_OR_RETURN(std::string sumy1, Param(p, "sumy1"));
-    GEA_ASSIGN_OR_RETURN(std::string sumy2, Param(p, "sumy2"));
-    GEA_ASSIGN_OR_RETURN(std::string gap, Param(p, "gap"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return CreateGap(sumy1, sumy2, gap, replace);
-  }
-  if (record.op == "top_gap") {
-    GEA_ASSIGN_OR_RETURN(std::string gap, Param(p, "gap"));
-    GEA_ASSIGN_OR_RETURN(int64_t x, IntParam(p, "x"));
-    GEA_ASSIGN_OR_RETURN(int64_t mode, IntParam(p, "mode"));
-    return CalculateTopGap(gap, static_cast<size_t>(x),
-                           static_cast<core::TopGapMode>(mode))
-        .status();
-  }
-  if (record.op == "compare_gaps") {
-    GEA_ASSIGN_OR_RETURN(std::string a, Param(p, "a"));
-    GEA_ASSIGN_OR_RETURN(std::string b, Param(p, "b"));
-    GEA_ASSIGN_OR_RETURN(int64_t kind, IntParam(p, "kind"));
-    GEA_ASSIGN_OR_RETURN(std::string out, Param(p, "out"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return CompareGapTables(a, b, static_cast<core::GapCompareKind>(kind), out,
-                            replace);
-  }
-  if (record.op == "gap_query") {
-    GEA_ASSIGN_OR_RETURN(std::string compared, Param(p, "compared"));
-    GEA_ASSIGN_OR_RETURN(int64_t query, IntParam(p, "query"));
-    GEA_ASSIGN_OR_RETURN(std::string out, Param(p, "out"));
-    GEA_ASSIGN_OR_RETURN(bool replace, BoolParam(p, "replace"));
-    return RunGapQuery(compared, static_cast<core::GapCompareQuery>(query),
-                       out, replace);
-  }
-  if (record.op == "comment") {
-    GEA_ASSIGN_OR_RETURN(std::string table, Param(p, "table"));
-    GEA_ASSIGN_OR_RETURN(std::string comment, Param(p, "comment"));
-    return CommentOn(table, comment);
-  }
-  if (record.op == "delete_table") {
-    GEA_ASSIGN_OR_RETURN(std::string table, Param(p, "table"));
-    GEA_ASSIGN_OR_RETURN(bool cascade, BoolParam(p, "cascade"));
-    return DeleteTable(table, cascade);
-  }
-  if (record.op == "initialize") {
-    return InitializeDatabase();
-  }
-  return Status::InvalidArgument("unknown WAL operation: " + record.op);
+  return RunCommand(record.op, record.params).status();
 }
 
 // ---- Snapshot mapping ----

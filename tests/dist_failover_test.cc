@@ -87,6 +87,12 @@ struct WorkloadStep {
 };
 
 std::vector<WorkloadStep> WorkloadSteps() {
+  std::vector<int> custom_ids;
+  std::string custom_libs;
+  for (size_t i = 0; i < 3; ++i) {
+    custom_ids.push_back(TestDataSet().library(i).id());
+    custom_libs += (i > 0 ? "," : "") + std::to_string(custom_ids.back());
+  }
   return {
       {"tissue_dataset",
        {{"tissue", "brain"}},
@@ -119,7 +125,56 @@ std::vector<WorkloadStep> WorkloadSteps() {
       {"top_gap",
        {{"gap", "g"}, {"x", "5"}},
        [](AnalysisSession& s) { return s.CalculateTopGap("g", 5).status(); }},
+      {"custom_dataset",
+       {{"name", "X"}, {"libs", custom_libs}},
+       [custom_ids](AnalysisSession& s) {
+         return s.CreateCustomDataSet("X", custom_ids);
+       }},
+      // No algorithm on the wire: the server must mine greedy, the
+      // library default.
+      {"mine",
+       {{"dataset", "brain"},
+        {"meta", "meta"},
+        {"min_compact_tags", "150"},
+        {"batch_size", "6"},
+        {"min_size", "3"},
+        {"out_prefix", "F"}},
+       [](AnalysisSession& s) {
+         return s.CalculateFascicles("brain", "meta", 150, 6, 3, "F")
+             .status();
+       }},
+      {"populate",
+       {{"sumy", "s1"}, {"base", "X"}, {"out", "p"}},
+       [](AnalysisSession& s) { return s.Populate("s1", "X", "p"); }},
+      {"diff",
+       {{"sumy1", "s2"}, {"sumy2", "s1"}, {"gap", "g2"}},
+       [](AnalysisSession& s) { return s.CreateGap("s2", "s1", "g2"); }},
+      {"compare_gaps",
+       {{"a", "g"}, {"b", "g2"}, {"kind", "0"}, {"out", "cmp"}},
+       [](AnalysisSession& s) {
+         return s.CompareGapTables("g", "g2", core::GapCompareKind::kUnion,
+                                   "cmp");
+       }},
+      {"gap_query",
+       {{"compared", "cmp"}, {"query", "1"}, {"out", "q"}},
+       [](AnalysisSession& s) {
+         return s.RunGapQuery("cmp",
+                              core::GapCompareQuery::kHigherInAInBoth, "q");
+       }},
   };
+}
+
+/// A storage-less session that ran the first `steps` workload steps
+/// through the library API.
+std::unique_ptr<AnalysisSession> ReferenceSession(size_t steps) {
+  auto reference = AdminSession();
+  EXPECT_TRUE(reference->LoadDataSet(TestDataSet()).ok());
+  std::vector<WorkloadStep> workload = WorkloadSteps();
+  for (size_t i = 0; i < steps; ++i) {
+    Status status = workload[i].replay(*reference);
+    EXPECT_TRUE(status.ok()) << workload[i].op << ": " << status.ToString();
+  }
+  return reference;
 }
 
 /// Canonical byte-level state (the recovery_test Fingerprint): every file
@@ -171,6 +226,17 @@ RunResult RunPipeline(
   replica_options.retry_ms = 10;
   ReplicaServer replica(replica_options);
   EXPECT_TRUE(replica.Start().ok());
+  {
+    // The follower's first snapshot catch-up lands before the workload
+    // starts. A snapshot asked for after the primary's storage died is
+    // refused (it could hold a write that never became durable), so a
+    // follower still waiting for its first one then would never reach
+    // the acknowledged LSN.
+    QueryClient follower;
+    EXPECT_TRUE(follower.Connect(replica.Port()).ok());
+    EXPECT_TRUE(
+        follower.WaitForLsn(primary_session->DurableLsn(), 15'000).ok());
+  }
 
   QueryClient client;
   EXPECT_TRUE(client.Connect(primary_server.Port()).ok());
@@ -218,6 +284,13 @@ TEST(DistFailoverTest, PromotedReplicaIsByteIdenticalToTheAckedPrefix) {
         ASSERT_TRUE(
             replica_client.WaitForLsn(primary_session.DurableLsn(), 15'000)
                 .ok());
+        // Every served write decodes and runs like its library call, on
+        // the primary and through the replica's replay alike.
+        const auto reference =
+            Fingerprint(*ReferenceSession(total_steps), "probe_reference");
+        EXPECT_EQ(Fingerprint(primary_session, "probe_primary"), reference);
+        EXPECT_EQ(Fingerprint(replica.session(), "probe_replica"),
+                  reference);
       });
   ASSERT_EQ(clean.acked_steps, total_steps);
   ASSERT_GT(clean.fault_points, setup_points + 3);
@@ -262,15 +335,9 @@ TEST(DistFailoverTest, PromotedReplicaIsByteIdenticalToTheAckedPrefix) {
           ASSERT_TRUE(replica.Promoted());
 
           // The promoted catalog is exactly the acknowledged prefix.
-          auto reference = AdminSession();
-          ASSERT_TRUE(reference->LoadDataSet(TestDataSet()).ok());
-          std::vector<WorkloadStep> steps = WorkloadSteps();
-          for (size_t i = 0; i < acked; ++i) {
-            ASSERT_TRUE(steps[i].replay(*reference).ok()) << steps[i].op;
-          }
           EXPECT_EQ(Fingerprint(replica.session(),
                                 std::string("promoted_") + kill.name),
-                    Fingerprint(*reference,
+                    Fingerprint(*ReferenceSession(acked),
                                 std::string("reference_") + kill.name));
 
           // And it takes writes (a step that only needs the base dataset,

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "serve/server.h"
 #include "store/format.h"
 #include "store/wal.h"
+#include "txn/group_commit.h"
 #include "workbench/session.h"
 
 namespace gea::dist {
@@ -220,6 +222,59 @@ TEST(ReplicationHubTest, TornCommitBatchShipsNoFrames) {
   EXPECT_TRUE(recovered->GetSumy("CleanSumy").ok());
   EXPECT_TRUE(recovered->GetSumy("TornSumy").status().IsNotFound());
   EXPECT_EQ(recovered->DurableLsn(), pre_lsn + 1);
+}
+
+// A served writer publishes its epoch and submits its record under the
+// exclusive lock, then waits for the fsync after releasing it. A snapshot
+// taken in between must not ship the write before its commit: the hub
+// commits what was submitted first, answers with the error when that
+// commit fails, and otherwise stamps an LSN that covers the write.
+TEST(ReplicationHubTest, SnapshotShipsOnlyCommittedWrites) {
+  const std::string dir = FreshDir("snapshot_commit");
+  store::FaultInjectionEnv env(store::FileEnv::Default());
+  auto session = AdminSession();
+  ASSERT_TRUE(session->OpenStorage(dir, store::StorageOptions{}, &env).ok());
+  ASSERT_TRUE(session->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
+
+  QueryServer server(session.get());
+  ReplicationHub hub(session.get(), &server);
+  ASSERT_TRUE(server.Start().ok());  // serving defers commits
+  QueryClient admin;
+  ASSERT_TRUE(admin.Connect(server.Port()).ok());
+  ASSERT_TRUE(admin.Login("admin", "secret", "admin").ok());
+
+  // A write made the way a served writer makes it, its commit not yet
+  // awaited.
+  auto deferred_write = [&](const std::string& out) {
+    std::unique_lock<SharedTimedMutex> lock(server.SessionMutex());
+    EXPECT_TRUE(session->Aggregate("brain", out).ok());
+    return session->TakePendingCommit();
+  };
+
+  std::shared_ptr<txn::CommitTicket> committed = deferred_write("Committed");
+  ASSERT_NE(committed, nullptr);
+  Result<Response> shipped = admin.Call("repl_snapshot");
+  ASSERT_TRUE(shipped.ok());
+  ASSERT_TRUE(shipped->ok()) << shipped->message;
+  Result<std::pair<uint64_t, std::string>> blob =
+      DecodeSnapshotLsnBlob(shipped->text);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  EXPECT_GE(blob->first, committed->lsn());
+  EXPECT_TRUE(committed->Wait().ok());
+
+  // The next commit's fsync fails: its append is fault point 0, the sync
+  // point 1.
+  env.ArmFault(1, store::FaultInjectionEnv::FaultKind::kFailSync);
+  std::shared_ptr<txn::CommitTicket> doomed = deferred_write("Doomed");
+  ASSERT_NE(doomed, nullptr);
+  Result<Response> refused = admin.Call("repl_snapshot");
+  ASSERT_TRUE(refused.ok());
+  EXPECT_FALSE(refused->ok()) << "shipped a write whose commit failed";
+  EXPECT_FALSE(doomed->Wait().ok());
+  EXPECT_EQ(hub.ShippedLsn(), committed->lsn());
+
+  server.Stop();
 }
 
 // ---------- the hub's wire surface ----------

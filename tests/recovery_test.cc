@@ -287,6 +287,92 @@ TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
   EXPECT_EQ(Fingerprint(*recovered, "failed_recovered"), live_fingerprint);
 }
 
+// ---------- replay decoding ----------
+
+// Replay decodes through the command table the wire uses, so a logical
+// record carrying a value the wire refuses fails and stores nothing.
+TEST(RecoveryTest, ReplayRefusesOutOfRangeParameters) {
+  std::unique_ptr<AnalysisSession> session = NewAdminSession();
+  ASSERT_TRUE(session->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
+  ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBreast).ok());
+  ASSERT_TRUE(session->Aggregate("brain", "brain_sumy").ok());
+  ASSERT_TRUE(session->Aggregate("breast", "breast_sumy").ok());
+  ASSERT_TRUE(session->CreateGap("brain_sumy", "breast_sumy", "g1").ok());
+  ASSERT_TRUE(session->CreateGap("breast_sumy", "brain_sumy", "g2").ok());
+  ASSERT_TRUE(session
+                  ->CompareGapTables("g1", "g2", core::GapCompareKind::kUnion,
+                                     "cmp")
+                  .ok());
+  const std::vector<std::string> tables = session->TableNames();
+
+  EXPECT_FALSE(session
+                   ->ApplyReplicatedRecord(store::WalRecord::LogicalOp(
+                       "gap_query", {{"compared", "cmp"},
+                                     {"query", "99"},
+                                     {"out", "q"},
+                                     {"replace", "0"}}))
+                   .ok());
+  EXPECT_FALSE(session
+                   ->ApplyReplicatedRecord(store::WalRecord::LogicalOp(
+                       "top_gap", {{"gap", "g1"}, {"x", "-1"}, {"mode", "0"}}))
+                   .ok());
+  EXPECT_EQ(session->TableNames(), tables);
+
+  // The same records with values in range apply.
+  EXPECT_TRUE(session
+                  ->ApplyReplicatedRecord(store::WalRecord::LogicalOp(
+                      "gap_query", {{"compared", "cmp"},
+                                    {"query", "1"},
+                                    {"out", "q"},
+                                    {"replace", "0"}}))
+                  .ok());
+  EXPECT_TRUE(session
+                  ->ApplyReplicatedRecord(store::WalRecord::LogicalOp(
+                      "top_gap", {{"gap", "g1"}, {"x", "5"}, {"mode", "0"}}))
+                  .ok());
+  EXPECT_TRUE(session->GetGap("q").ok());
+  EXPECT_TRUE(session->GetGap("g1_5").ok());
+}
+
+// control_groups and initialize are logged kinds the workload above never
+// produces: the recovered catalog must still equal the live one.
+TEST(RecoveryTest, ControlGroupsAndInitializeReplay) {
+  std::string dir = FreshDir("control_init");
+  std::unique_ptr<AnalysisSession> live = NewAdminSession();
+  ASSERT_TRUE(live->OpenStorage(dir).ok());
+  ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
+  ASSERT_TRUE(live->Aggregate("brain", "wiped_sumy").ok());
+  ASSERT_TRUE(live->InitializeDatabase().ok());
+
+  ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
+  ASSERT_TRUE(live->GenerateMetadata("brain", 25.0, "meta").ok());
+  Result<std::vector<std::string>> mined =
+      live->CalculateFascicles("brain", "meta", 150, 6, 3, "F");
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  // Control groups form only over a pure fascicle; the impure ones fail
+  // and log nothing.
+  size_t formed = 0;
+  for (const std::string& fascicle : *mined) {
+    if (live->FormControlGroups("brain", fascicle).ok()) ++formed;
+  }
+  ASSERT_GT(formed, 0u);
+  EXPECT_TRUE(live->GetSumy("wiped_sumy").status().IsNotFound());
+
+  const auto live_fingerprint = Fingerprint(*live, "control_live");
+  ASSERT_TRUE(live->CloseStorage().ok());
+  live.reset();
+  std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
+  ASSERT_TRUE(recovered->OpenStorage(dir).ok());
+  Result<store::RecoverySummary> summary = recovered->StorageRecovery();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_FALSE(summary->snapshot_loaded);
+  EXPECT_EQ(summary->wal_records_replayed, 8u + formed);
+  EXPECT_EQ(Fingerprint(*recovered, "control_recovered"), live_fingerprint);
+}
+
 // ---------- the kill-point matrix ----------
 
 class KillPointMatrixTest

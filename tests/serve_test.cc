@@ -12,9 +12,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/net.h"
@@ -351,6 +353,45 @@ TEST_F(ServeTest, UnknownCommandAndBadParams) {
                   {{"compared", "x"}, {"query", "99"}, {"out", "y"}});
   ASSERT_TRUE(bad_range.ok());
   EXPECT_EQ(bad_range->code, StatusCode::kInvalidArgument);
+
+  // Values the command decoder refuses, for wire and WAL replay alike. The
+  // mine request is valid but for its algorithm.
+  Result<Response> meta = client.Call(
+      "generate_metadata", {{"dataset", "brain"}, {"percent", "25"},
+                            {"meta", "m25"}});
+  ASSERT_TRUE(meta.ok());
+  ASSERT_TRUE(meta->ok()) << meta->message;
+  const std::vector<std::pair<std::string, std::map<std::string, std::string>>>
+      refused = {
+          // A library id beyond int, which used to wrap to library 1.
+          {"custom_dataset", {{"name", "wrapped"}, {"libs", "4294967297"}}},
+          {"generate_metadata",
+           {{"dataset", "brain"}, {"percent", "nan"}, {"meta", "nan_meta"}}},
+          {"aggregate",
+           {{"enum", "brain"}, {"out", "yes_sumy"}, {"replace", "yes"}}},
+          {"mine",
+           {{"dataset", "brain"},
+            {"meta", "m25"},
+            {"min_compact_tags", "150"},
+            {"batch_size", "6"},
+            {"min_size", "3"},
+            {"out_prefix", "A2"},
+            {"algorithm", "2"}}},
+      };
+  const std::vector<std::string> tables = session->TableNames();
+  for (const auto& [op, params] : refused) {
+    Result<Response> response = client.Call(op, params);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->code, StatusCode::kInvalidArgument)
+        << op << ": " << response->message;
+  }
+  EXPECT_EQ(session->TableNames(), tables);
+  Result<Response> nan_meta = client.Call(
+      "mine", {{"dataset", "brain"}, {"meta", "nan_meta"},
+               {"min_compact_tags", "150"}, {"batch_size", "6"},
+               {"min_size", "3"}, {"out_prefix", "N"}});
+  ASSERT_TRUE(nan_meta.ok());
+  EXPECT_EQ(nan_meta->code, StatusCode::kNotFound) << nan_meta->message;
 }
 
 TEST_F(ServeTest, OperatorCommandsEndToEnd) {

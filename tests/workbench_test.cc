@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "obs/export.h"
 #include "obs/log.h"
 #include "sage/cleaning.h"
@@ -202,6 +204,8 @@ TEST_F(SessionTest, MetadataValidation) {
   ASSERT_TRUE(session.CreateTissueDataSet(sage::TissueType::kBrain).ok());
   EXPECT_TRUE(
       session.GenerateMetadata("brain", 150.0, "m").IsInvalidArgument());
+  EXPECT_TRUE(session.GenerateMetadata("brain", std::nan(""), "m")
+                  .IsInvalidArgument());
   EXPECT_TRUE(session.GenerateMetadata("nope", 10.0, "m").IsNotFound());
   ASSERT_TRUE(session.GenerateMetadata("brain", 10.0, "brainfile.meta").ok());
   EXPECT_TRUE(session.GenerateMetadata("brain", 10.0, "brainfile.meta")
