@@ -8,7 +8,6 @@
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
-#include "obs/resource.h"
 #include "obs/trace.h"
 
 namespace gea {
@@ -79,14 +78,6 @@ void ThreadPool::Submit(std::function<void()> task) {
 size_t ThreadPool::QueueDepth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-bool ThreadPool::OnWorkerThread() const {
-  std::thread::id self = std::this_thread::get_id();
-  for (const std::thread& w : workers_) {
-    if (w.get_id() == self) return true;
-  }
-  return false;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -263,15 +254,14 @@ void ParallelFor(size_t begin, size_t end, size_t min_grain,
 
   pf_chunks.Add(chunks);
   obs::TraceSpan pf_span("parallel_for");
-  // Chunk spans may run on pool workers; hand them the caller's current
-  // span (the parallel_for span when tracing) so they nest under it, and
-  // the caller's trace binding so they land in the right request trace.
-  const uint64_t parent_span = obs::CurrentSpanId();
-  const obs::TraceBinding trace_binding = obs::CurrentTraceBinding();
-  // The caller's memory account (if any) follows the same rules as the
-  // trace binding: every chunk finishes before ParallelFor returns, so
-  // the raw pointer never outlives the frame that owns the account.
-  obs::MemoryAccount* const memory_account = obs::CurrentMemoryAccount();
+  // Chunks may run on pool workers under a copy of the caller's request
+  // context, taken after the parallel_for span opened so chunk spans nest
+  // under it and land in the caller's sink. Every chunk finishes before
+  // ParallelFor returns, so its pointers never outlive the frame that
+  // owns them. Stages stay with the caller: StageNanos is not atomic, and
+  // a helper's lock wait would overlap the caller's execute stage.
+  obs::RequestContext helper_context = obs::CurrentContext();
+  helper_context.stages = nullptr;
   const bool metrics = obs::MetricsEnabled();
 
   struct State {
@@ -324,13 +314,10 @@ void ParallelFor(size_t begin, size_t end, size_t min_grain,
   const size_t helpers =
       pool == nullptr ? 0 : std::min(chunks - 1, pool->NumThreads());
   for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([state, run_chunk, chunks, parent_span, trace_binding,
-                  memory_account] {
+    pool->Submit([state, run_chunk, chunks, helper_context] {
       bool was_in_region = t_in_parallel_region;
       t_in_parallel_region = true;
-      obs::TraceParentScope parent_scope(parent_span);
-      obs::TraceBindingScope binding_scope(trace_binding);
-      obs::MemoryAccountScope account_scope(memory_account);
+      obs::ContextScope context_scope(helper_context);
       for (;;) {
         const size_t c = state->next.fetch_add(1, std::memory_order_relaxed);
         if (c >= chunks) break;

@@ -38,12 +38,10 @@ class ThreadPool {
 
   /// Enqueues `task`. The task must not throw out of the pool: wrap the
   /// user body and capture exceptions on the submitting side (ParallelFor
-  /// does this). Tasks submitted from inside a worker run inline to avoid
-  /// queue-full deadlocks on nested use.
+  /// does this). A task submitted from inside a worker is queued like any
+  /// other, so a worker that waits on tasks it submitted can deadlock the
+  /// pool; ParallelFor runs nested calls inline instead.
   void Submit(std::function<void()> task);
-
-  /// True when the calling thread is one of this pool's workers.
-  bool OnWorkerThread() const;
 
  private:
   void WorkerLoop();

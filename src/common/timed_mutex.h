@@ -22,7 +22,7 @@ namespace gea {
 /// fails (someone actually holds the lock) does the wrapper read the
 /// clock around the blocking acquire, record the wait into a registry
 /// histogram, and add it to the active request's `lock_wait` stage via
-/// the thread-local stage sink (a no-op off the serve path). Histogram
+/// the request context's stages (a no-op off the serve path). Histogram
 /// recording itself is gated on GEA_METRICS like every other metric.
 
 /// std::shared_mutex with read/write acquisition waits recorded into

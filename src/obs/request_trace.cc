@@ -19,9 +19,6 @@ const char* const kStageNames[kRequestStageCount] = {
     "wal_fsync", "encode", "write", "lock_wait",
 };
 
-/// Active stage sink for this thread (innermost scope wins).
-thread_local StageCollectorScope* t_stage_sink = nullptr;
-
 /// Sampling override: any value >= 0 beats the env var; -1 = unset.
 std::atomic<int64_t> g_sample_override{-1};
 
@@ -45,27 +42,13 @@ const char* RequestStageName(RequestStage stage) {
   return kStageNames[static_cast<int>(stage)];
 }
 
-StageCollectorScope::StageCollectorScope() : previous_(t_stage_sink) {
-  t_stage_sink = this;
-}
-
-StageCollectorScope::~StageCollectorScope() { t_stage_sink = previous_; }
-
-bool StageCollectionActive() { return t_stage_sink != nullptr; }
-
 void AddStageNanos(RequestStage stage, uint64_t nanos) {
-  if (t_stage_sink != nullptr) t_stage_sink->stages()[stage] += nanos;
+  if (StageNanos* stages = CurrentContext().stages) (*stages)[stage] += nanos;
 }
 
 uint64_t CollectedStageNanos(RequestStage stage) {
-  return t_stage_sink != nullptr ? t_stage_sink->stages()[stage] : 0;
-}
-
-void ContributeRequestSpans(std::vector<SpanRecord> spans) {
-  if (t_stage_sink == nullptr || spans.empty()) return;
-  std::vector<SpanRecord>& sink = t_stage_sink->spans();
-  sink.insert(sink.end(), std::make_move_iterator(spans.begin()),
-              std::make_move_iterator(spans.end()));
+  const StageNanos* stages = CurrentContext().stages;
+  return stages != nullptr ? (*stages)[stage] : 0;
 }
 
 uint64_t TraceSampleEvery() {
@@ -181,11 +164,12 @@ std::vector<InflightRequest> InflightRegistry::Snapshot() const {
   return out;
 }
 
-bool InflightRegistry::Flag(uint64_t token) {
+bool InflightRegistry::Flag(uint64_t token, std::vector<SpanRecord>* spans) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(token);
   if (it == entries_.end() || it->second.flagged) return false;
   it->second.flagged = true;
+  if (it->second.spans != nullptr) *spans = CopySpans(*it->second.spans);
   return true;
 }
 

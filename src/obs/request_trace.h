@@ -24,11 +24,12 @@ namespace gea::obs {
 /// stat view (rollups by op/status/user), the /tracez?format=chrome
 /// endpoint (Perfetto-loadable trace-event JSON), and slow-query triage.
 ///
-/// Stage attribution from layers below serve (the WAL) flows through a
-/// thread-local stage sink rather than plumbed-through context: WAL
-/// appends run synchronously on the worker thread that executes the
-/// request, so StageCollectorScope installed around execution catches
-/// them. When no scope is active the cost is one thread-local test.
+/// Stage attribution from layers below serve (the WAL, the timed locks)
+/// goes through the `stages` of the calling thread's RequestContext
+/// (obs/context.h) rather than plumbed-through arguments: WAL appends
+/// and commit waits run synchronously on the worker thread that executes
+/// the request, which installs its context for the whole task. When no
+/// stages are bound the cost is one thread-local test.
 
 /// The serve-path stages, in request order. Indexes StageNanos and fixes
 /// the wire order of the response timing block.
@@ -58,39 +59,12 @@ struct StageNanos {
   }
 };
 
-/// Installs a thread-local stage sink for the scope's lifetime. Nested
-/// scopes shadow (and restore) the outer one.
-class StageCollectorScope {
- public:
-  StageCollectorScope();
-  ~StageCollectorScope();
-
-  StageCollectorScope(const StageCollectorScope&) = delete;
-  StageCollectorScope& operator=(const StageCollectorScope&) = delete;
-
-  StageNanos& stages() { return stages_; }
-  /// Span trees handed over by ContributeRequestSpans during the scope.
-  std::vector<SpanRecord>& spans() { return spans_; }
-
- private:
-  StageNanos stages_;
-  std::vector<SpanRecord> spans_;
-  StageCollectorScope* previous_;
-};
-
-/// True when a StageCollectorScope is active on the calling thread.
-bool StageCollectionActive();
-
-/// Adds `nanos` to `stage` in the active scope; no-op when none.
+/// Adds `nanos` to `stage` in the context's stages; no-op when none.
 void AddStageNanos(RequestStage stage, uint64_t nanos);
 
-/// Nanoseconds accumulated for `stage` in the active scope (0 when none).
+/// Nanoseconds accumulated for `stage` in the context's stages (0 when
+/// none are bound).
 uint64_t CollectedStageNanos(RequestStage stage);
-
-/// Moves a finished operation's span tree into the active scope (no-op
-/// when none). The workbench calls this after each Logged capture so the
-/// serve layer can attach execution spans to the request's trace record.
-void ContributeRequestSpans(std::vector<SpanRecord> spans);
 
 /// ---- Sampling ----
 ///
@@ -155,7 +129,7 @@ class RequestTraceRing {
   RequestTraceRing(const RequestTraceRing&) = delete;
   RequestTraceRing& operator=(const RequestTraceRing&) = delete;
 
-  /// The process-wide ring (leaked at exit, like TraceCollector).
+  /// The process-wide ring (leaked at exit).
   static RequestTraceRing& Global();
 
   void Publish(RequestTraceRecord record);
@@ -184,16 +158,16 @@ class RequestTraceRing {
 };
 
 /// One request currently executing on a worker, as seen by the stalled-
-/// request watchdog (obs/timeseries.h). `mark` is TraceCollector::Mark()
-/// at registration, so the watchdog can snapshot the spans recorded so
-/// far without draining them from the request's own capture.
+/// request watchdog (obs/timeseries.h). `spans` is the request's span
+/// sink, which lives in the executing frame: read it only through Flag,
+/// under the registry mutex, while the entry is registered.
 struct InflightRequest {
   uint64_t token = 0;     // registry handle (assigned by Register)
   uint64_t trace_id = 0;  // 0 when the request is not sampled
   std::string op;
   std::string user;
   uint64_t start_nanos = 0;  // NowNanos() at worker pickup
-  uint64_t mark = 0;         // trace-collector mark at registration
+  SpanSink* spans = nullptr;  // the request's sink (null = none)
   uint32_t worker_tid = 0;
   bool flagged = false;  // the watchdog already logged this request
 };
@@ -219,10 +193,13 @@ class InflightRegistry {
   /// Copies the live entries (registration order not guaranteed).
   std::vector<InflightRequest> Snapshot() const;
 
-  /// Marks `token` as watchdog-flagged. Returns true when this call was
-  /// the first to flag it (the caller should log), false when the entry
-  /// was already flagged or has finished — one log line per request.
-  bool Flag(uint64_t token);
+  /// Marks `token` as watchdog-flagged and copies the spans its sink
+  /// holds so far into `spans`. Returns true when this call was the first
+  /// to flag it (the caller should log), false when the entry was already
+  /// flagged or has finished — one log line per request. The copy is made
+  /// under the registry mutex, which the executing frame must take to
+  /// deregister before its sink goes away (lock order: registry, sink).
+  bool Flag(uint64_t token, std::vector<SpanRecord>* spans);
 
   size_t Size() const;
 

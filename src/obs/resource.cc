@@ -1,30 +1,19 @@
 #include "obs/resource.h"
 
+#include "obs/context.h"
+
 namespace gea::obs {
 
-namespace {
-
-thread_local MemoryAccount* t_account = nullptr;
-
-}  // namespace
-
-MemoryAccount* CurrentMemoryAccount() { return t_account; }
-
-bool MemoryAccountingActive() { return t_account != nullptr; }
+bool MemoryAccountingActive() { return CurrentContext().account != nullptr; }
 
 void AccountAllocation(uint64_t bytes) {
-  if (t_account != nullptr && bytes != 0) t_account->OnAlloc(bytes);
+  MemoryAccount* account = CurrentContext().account;
+  if (account != nullptr && bytes != 0) account->OnAlloc(bytes);
 }
 
 void AccountFree(uint64_t bytes) {
-  if (t_account != nullptr && bytes != 0) t_account->OnFree(bytes);
+  MemoryAccount* account = CurrentContext().account;
+  if (account != nullptr && bytes != 0) account->OnFree(bytes);
 }
-
-MemoryAccountScope::MemoryAccountScope(MemoryAccount* account)
-    : previous_(t_account) {
-  t_account = account;
-}
-
-MemoryAccountScope::~MemoryAccountScope() { t_account = previous_; }
 
 }  // namespace gea::obs

@@ -10,10 +10,10 @@ namespace gea::obs {
 /// request's execution allocates in the data-bearing containers —
 /// rel::Column payloads, GapTable / SumyTable arrays — and tracks the
 /// high-water mark of live (allocated minus freed) bytes. The serve
-/// layer binds one account to the worker thread for each request
-/// (MemoryAccountScope), ParallelFor propagates the binding into pool
-/// helpers exactly like TraceBinding, and the allocation sites call the
-/// free functions below.
+/// layer binds one account per request through the RequestContext
+/// (obs/context.h), ParallelFor carries it into pool helpers with the
+/// rest of the context, and the allocation sites call the free functions
+/// below.
 ///
 /// Cost model: when no account is bound (every non-served code path) an
 /// accounting call is one thread-local load and a branch. When bound,
@@ -63,10 +63,7 @@ class MemoryAccount {
   std::atomic<uint64_t> peak_{0};
 };
 
-/// The account bound to the calling thread (nullptr when none).
-MemoryAccount* CurrentMemoryAccount();
-
-/// True when an account is bound to the calling thread.
+/// True when the calling thread's context has an account bound.
 bool MemoryAccountingActive();
 
 /// Adds `bytes` to the bound account; no-op when none is bound.
@@ -76,26 +73,8 @@ void AccountAllocation(uint64_t bytes);
 /// none is bound. Callers must have accounted the same bytes earlier —
 /// the containers call this from Clear()-style releases only, so a
 /// request that frees what another request allocated never goes through
-/// here (the account is thread-bound per request).
+/// here (the account is bound per request).
 void AccountFree(uint64_t bytes);
-
-/// Binds `account` to the calling thread for the scope's lifetime.
-/// Nested scopes shadow (and restore) the outer binding; binding nullptr
-/// suspends accounting for the scope. ParallelFor installs the
-/// submitting thread's account in pool helpers, which is safe because
-/// every chunk completes before ParallelFor returns to the frame that
-/// owns the account.
-class MemoryAccountScope {
- public:
-  explicit MemoryAccountScope(MemoryAccount* account);
-  ~MemoryAccountScope();
-
-  MemoryAccountScope(const MemoryAccountScope&) = delete;
-  MemoryAccountScope& operator=(const MemoryAccountScope&) = delete;
-
- private:
-  MemoryAccount* previous_;
-};
 
 }  // namespace gea::obs
 

@@ -210,15 +210,14 @@ size_t WatchdogSweep(uint64_t threshold_ms) {
     if (elapsed < threshold_nanos) continue;
     // Flag() is the once-per-request gate: it fails for a request the
     // watchdog already reported or that finished between snapshot and
-    // here, so concurrent sweeps can never double-log.
-    if (!InflightRegistry::Global().Flag(request.token)) continue;
+    // here, so concurrent sweeps can never double-log. It also copies
+    // the span tree recorded so far, while the request's sink still
+    // exists.
+    std::vector<SpanRecord> recorded;
+    if (!InflightRegistry::Global().Flag(request.token, &recorded)) continue;
     ++flagged;
 
-    // The span tree recorded so far (non-destructive: the request's own
-    // trace capture still drains these spans when it completes).
     std::string spans = "[";
-    const std::vector<SpanRecord> recorded =
-        TraceCollector::Global().SnapshotSince(request.mark, request.trace_id);
     for (size_t i = 0; i < recorded.size(); ++i) {
       const SpanRecord& span = recorded[i];
       if (i > 0) spans += ",";

@@ -22,21 +22,6 @@ int EnvTraceState() {
 /// Global span-id allocator; 0 is reserved for "no span".
 std::atomic<uint64_t> g_next_span_id{1};
 
-/// Global close-order sequence; Mark() reads the next value to be issued.
-std::atomic<uint64_t> g_next_seq{0};
-
-std::atomic<uint64_t> g_dropped_spans{0};
-
-/// A buffer may not grow past this without a drain; beyond it new spans
-/// are dropped (and counted) rather than eating memory unboundedly.
-constexpr size_t kMaxRecordsPerThread = 1 << 16;
-
-/// Innermost open span on this thread (0 = none).
-thread_local uint64_t t_current_span = 0;
-
-/// Request-trace identity for this thread (see TraceBindingScope).
-thread_local TraceBinding t_binding;
-
 /// Dense thread-id allocator; 0 is reserved for "unknown".
 std::atomic<uint32_t> g_next_thread_id{1};
 
@@ -48,16 +33,9 @@ uint32_t CurrentThreadId() {
   return t_id;
 }
 
-TraceBinding CurrentTraceBinding() { return t_binding; }
-
-TraceBindingScope::TraceBindingScope(TraceBinding binding)
-    : previous_(t_binding) {
-  t_binding = binding;
+bool SpanRecordingEnabled() {
+  return TraceEnabled() || CurrentContext().sampled;
 }
-
-TraceBindingScope::~TraceBindingScope() { t_binding = previous_; }
-
-bool SpanRecordingEnabled() { return TraceEnabled() || t_binding.force; }
 
 bool TraceEnabled() {
   int state = g_trace_state.load(std::memory_order_relaxed);
@@ -81,61 +59,13 @@ ScopedTraceEnable::ScopedTraceEnable(bool enabled)
 
 ScopedTraceEnable::~ScopedTraceEnable() { SetTraceOverride(previous_); }
 
-TraceCollector& TraceCollector::Global() {
-  static TraceCollector* collector = new TraceCollector();
-  return *collector;
-}
-
-uint64_t TraceCollector::Mark() {
-  return g_next_seq.load(std::memory_order_acquire);
-}
-
-void TraceCollector::Record(SpanRecord record) {
-  // The buffer outlives its thread: the collector holds a shared_ptr, so
-  // records survive until drained even after the thread exits.
-  thread_local std::shared_ptr<ThreadBuffer> t_buffer = [this] {
-    auto buffer = std::make_shared<ThreadBuffer>();
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers_.push_back(buffer);
-    return buffer;
-  }();
-  record.seq = g_next_seq.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> lock(t_buffer->mu);
-  if (t_buffer->records.size() >= kMaxRecordsPerThread) {
-    g_dropped_spans.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  t_buffer->records.push_back(std::move(record));
-}
-
-std::vector<SpanRecord> TraceCollector::DrainSince(uint64_t mark,
-                                                   uint64_t trace_id) {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers = buffers_;
-  }
+std::vector<SpanRecord> CopySpans(SpanSink& sink, size_t first) {
   std::vector<SpanRecord> out;
-  for (const std::shared_ptr<ThreadBuffer>& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    if (trace_id == 0) {
-      for (SpanRecord& record : buffer->records) {
-        if (record.seq >= mark) out.push_back(std::move(record));
-      }
-      buffer->records.clear();
-    } else {
-      // Surgical drain: take only this trace's spans, keep the rest
-      // buffered for the captures that own them.
-      auto keep = buffer->records.begin();
-      for (SpanRecord& record : buffer->records) {
-        if (record.seq >= mark && record.trace_id == trace_id) {
-          out.push_back(std::move(record));
-        } else {
-          if (&*keep != &record) *keep = std::move(record);
-          ++keep;
-        }
-      }
-      buffer->records.erase(keep, buffer->records.end());
+  {
+    std::lock_guard<std::mutex> lock(sink.mu);
+    if (first < sink.spans.size()) {
+      out.assign(sink.spans.begin() + static_cast<std::ptrdiff_t>(first),
+                 sink.spans.end());
     }
   }
   std::sort(out.begin(), out.end(),
@@ -146,51 +76,13 @@ std::vector<SpanRecord> TraceCollector::DrainSince(uint64_t mark,
             });
   return out;
 }
-
-std::vector<SpanRecord> TraceCollector::SnapshotSince(uint64_t mark,
-                                                      uint64_t trace_id) const {
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    buffers = buffers_;
-  }
-  std::vector<SpanRecord> out;
-  for (const std::shared_ptr<ThreadBuffer>& buffer : buffers) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    for (const SpanRecord& record : buffer->records) {
-      if (record.seq >= mark &&
-          (trace_id == 0 || record.trace_id == trace_id)) {
-        out.push_back(record);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SpanRecord& a, const SpanRecord& b) {
-              return a.start_nanos != b.start_nanos
-                         ? a.start_nanos < b.start_nanos
-                         : a.id < b.id;
-            });
-  return out;
-}
-
-uint64_t TraceCollector::DroppedSpans() const {
-  return g_dropped_spans.load(std::memory_order_relaxed);
-}
-
-uint64_t CurrentSpanId() { return t_current_span; }
-
-TraceParentScope::TraceParentScope(uint64_t parent_id)
-    : previous_(t_current_span) {
-  t_current_span = parent_id;
-}
-
-TraceParentScope::~TraceParentScope() { t_current_span = previous_; }
 
 TraceSpan::TraceSpan(std::string_view name) {
   if (!SpanRecordingEnabled()) return;
+  RequestContext& context = CurrentContext();
   id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-  parent_ = t_current_span;
-  t_current_span = id_;
+  parent_ = context.parent_span;
+  context.parent_span = id_;
   name_ = name;
   start_ = NowNanos();
 }
@@ -198,16 +90,19 @@ TraceSpan::TraceSpan(std::string_view name) {
 TraceSpan::~TraceSpan() {
   if (id_ == 0) return;
   const uint64_t end = NowNanos();
-  t_current_span = parent_;
+  RequestContext& context = CurrentContext();
+  context.parent_span = parent_;
+  if (context.spans == nullptr) return;  // nobody collects: dropped
   SpanRecord record;
   record.id = id_;
   record.parent_id = parent_;
   record.name = std::move(name_);
   record.start_nanos = start_;
   record.duration_nanos = end - start_;
-  record.trace_id = t_binding.trace_id;
+  record.trace_id = context.trace_id;
   record.tid = CurrentThreadId();
-  TraceCollector::Global().Record(std::move(record));
+  std::lock_guard<std::mutex> lock(context.spans->mu);
+  context.spans->spans.push_back(std::move(record));
 }
 
 namespace {
@@ -270,24 +165,28 @@ std::string OperationProfile::Render() const {
 OperationCapture::OperationCapture(std::string operation)
     : operation_(std::move(operation)),
       start_nanos_(NowNanos()),
-      trace_id_(t_binding.trace_id),
-      metrics_on_(MetricsEnabled()),
-      trace_on_(SpanRecordingEnabled()) {
+      metrics_on_(MetricsEnabled()) {
   if (metrics_on_) before_ = MetricsRegistry::Global().Snapshot();
-  if (trace_on_) {
-    mark_ = TraceCollector::Global().Mark();
-    root_.emplace(operation_);
+  if (!SpanRecordingEnabled()) return;
+  const RequestContext& context = CurrentContext();
+  if (context.spans != nullptr) {
+    sink_ = context.spans;
+    std::lock_guard<std::mutex> lock(sink_->mu);
+    first_span_ = sink_->spans.size();
+  } else {
+    RequestContext own = context;
+    own.spans = sink_ = &own_sink_;
+    own_scope_.emplace(own);
   }
+  root_.emplace(operation_);
 }
 
 OperationProfile OperationCapture::Finish() {
-  root_.reset();  // close the root span before draining
+  root_.reset();  // close the root span into the sink before copying
   OperationProfile profile;
   profile.operation = operation_;
   profile.elapsed_nanos = NowNanos() - start_nanos_;
-  if (trace_on_) {
-    profile.spans = TraceCollector::Global().DrainSince(mark_, trace_id_);
-  }
+  if (sink_ != nullptr) profile.spans = CopySpans(*sink_, first_span_);
   if (metrics_on_) {
     profile.counters =
         DiffCounters(before_, MetricsRegistry::Global().Snapshot());

@@ -2,22 +2,24 @@
 #define GEA_OBS_TRACE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/context.h"
 #include "obs/metrics.h"
 
 namespace gea::obs {
 
-/// Scoped tracing for the GEA engine. A TraceSpan times a region and
-/// records a SpanRecord into the calling thread's buffer when it closes;
-/// spans nest through a thread-local current-span id, and ParallelFor
-/// propagates that id into pool workers so chunk spans attach to the
-/// operator span that spawned them.
+/// Scoped tracing for the GEA engine. A TraceSpan times a region and,
+/// when it closes, appends a SpanRecord to the span sink of the calling
+/// thread's RequestContext (obs/context.h); with no sink bound the span
+/// is dropped. Spans nest through the context's parent_span, and
+/// ParallelFor copies the caller's context into pool workers, so chunk
+/// spans attach to the operator span that spawned them and land in the
+/// same sink.
 ///
 /// Enablement mirrors the metrics gate: programmatic override
 /// (SetTraceOverride / ScopedTraceEnable) > GEA_TRACE env var (read once)
@@ -45,7 +47,6 @@ struct SpanRecord {
   std::string name;
   uint64_t start_nanos = 0;     // NowNanos() at open
   uint64_t duration_nanos = 0;  // close - open
-  uint64_t seq = 0;             // global close order, used by capture marks
   uint64_t trace_id = 0;        // request trace this span belongs to (0 = none)
   uint32_t tid = 0;             // CurrentThreadId() of the recording thread
 };
@@ -55,101 +56,20 @@ struct SpanRecord {
 /// thread tracks in trace exports without leaking OS thread handles.
 uint32_t CurrentThreadId();
 
-/// The request-trace identity carried by the calling thread. `trace_id`
-/// tags every span the thread records; `force` enables span recording for
-/// this thread even when the global GEA_TRACE gate is off (how a sampled
-/// request captures its span tree without turning tracing on globally).
-struct TraceBinding {
-  uint64_t trace_id = 0;
-  bool force = false;
+/// Where a request's spans go. Locked, because a request's pool helpers
+/// append at the same time as its own thread.
+struct SpanSink {
+  std::mutex mu;
+  std::vector<SpanRecord> spans;
 };
 
-TraceBinding CurrentTraceBinding();
-
-/// Installs a TraceBinding for the scope's lifetime. The serve layer
-/// binds each request's trace id around execution; ParallelFor propagates
-/// the submitting thread's binding into pool workers alongside the parent
-/// span id, so chunk spans land in the right request trace.
-class TraceBindingScope {
- public:
-  explicit TraceBindingScope(TraceBinding binding);
-  ~TraceBindingScope();
-
-  TraceBindingScope(const TraceBindingScope&) = delete;
-  TraceBindingScope& operator=(const TraceBindingScope&) = delete;
-
- private:
-  TraceBinding previous_;
-};
+/// Copies the spans `sink` holds from index `first` on, sorted by
+/// (start_nanos, id).
+std::vector<SpanRecord> CopySpans(SpanSink& sink, size_t first = 0);
 
 /// True when spans should be recorded on this thread: the global gate is
-/// on, or the current binding forces recording (sampled request).
+/// on, or the bound request is sampled.
 bool SpanRecordingEnabled();
-
-/// Collects finished spans into per-thread buffers (one uncontended mutex
-/// per thread; the global mutex is taken only when a new thread registers
-/// or a capture drains).
-class TraceCollector {
- public:
-  TraceCollector() = default;
-
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// The process-wide collector (leaked at exit, like SharedThreadPool).
-  static TraceCollector& Global();
-
-  /// A mark such that every span closed after this call has seq >= mark.
-  uint64_t Mark();
-
-  /// Removes and returns buffered spans with seq >= mark, sorted by
-  /// (start_nanos, id). With trace_id == 0 (the single-session workbench
-  /// path) this drains every buffer: spans closed before the mark are
-  /// discarded. With a nonzero trace_id only spans tagged with that trace
-  /// are removed; spans belonging to other concurrent requests stay
-  /// buffered for their own captures to drain.
-  std::vector<SpanRecord> DrainSince(uint64_t mark, uint64_t trace_id = 0);
-
-  /// Like DrainSince, but non-destructive: copies matching spans and
-  /// leaves every buffer intact. The stalled-request watchdog uses this
-  /// to report an in-flight request's span tree without stealing the
-  /// spans from the capture that owns them.
-  std::vector<SpanRecord> SnapshotSince(uint64_t mark,
-                                        uint64_t trace_id = 0) const;
-
-  /// Appends `record` to the calling thread's buffer, assigning its seq.
-  void Record(SpanRecord record);
-
-  /// Spans dropped because a thread buffer hit its cap (nobody drained).
-  uint64_t DroppedSpans() const;
-
- private:
-  struct ThreadBuffer {
-    std::mutex mu;
-    std::vector<SpanRecord> records;
-  };
-
-  mutable std::mutex mu_;  // guards buffers_
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
-};
-
-/// Id of the innermost open span on the calling thread (0 when none).
-uint64_t CurrentSpanId();
-
-/// Installs `parent_id` as the calling thread's current span for the
-/// scope's lifetime — how ParallelFor hands the submitting thread's span
-/// to pool workers.
-class TraceParentScope {
- public:
-  explicit TraceParentScope(uint64_t parent_id);
-  ~TraceParentScope();
-
-  TraceParentScope(const TraceParentScope&) = delete;
-  TraceParentScope& operator=(const TraceParentScope&) = delete;
-
- private:
-  uint64_t previous_;
-};
 
 /// RAII scoped timing: opens on construction, records on destruction.
 /// When tracing is disabled the constructor is a relaxed load and the
@@ -189,9 +109,12 @@ struct OperationProfile {
   std::string Render() const;
 };
 
-/// Captures one operation: snapshots the counters and marks the trace on
-/// construction, wraps the operation in a root span named after it, and
-/// assembles the OperationProfile in Finish().
+/// Captures one operation: snapshots the counters on construction,
+/// wraps the operation in a root span named after it, and assembles the
+/// OperationProfile in Finish(). Inside a served request the spans go to
+/// the request's sink and the capture keeps the slice recorded since its
+/// construction; with no sink bound (direct library use) it binds a sink
+/// of its own for its lifetime.
 class OperationCapture {
  public:
   explicit OperationCapture(std::string operation);
@@ -199,18 +122,21 @@ class OperationCapture {
   OperationCapture(const OperationCapture&) = delete;
   OperationCapture& operator=(const OperationCapture&) = delete;
 
-  /// Closes the root span, drains spans recorded since construction and
-  /// diffs the counters. Call exactly once.
+  /// Closes the root span, copies the spans recorded since construction
+  /// and diffs the counters. Call exactly once.
   OperationProfile Finish();
 
  private:
   std::string operation_;
   uint64_t start_nanos_ = 0;
-  uint64_t mark_ = 0;
-  uint64_t trace_id_ = 0;  // binding at construction; filters the drain
   MetricsSnapshot before_;
   bool metrics_on_ = false;
-  bool trace_on_ = false;
+  SpanSink* sink_ = nullptr;  // null when spans were off at construction
+  size_t first_span_ = 0;     // sink size at construction
+  // Declared in this order so the root span closes into the sink before
+  // the scope that binds it is restored.
+  SpanSink own_sink_;  // bound only when none was
+  std::optional<ContextScope> own_scope_;
   std::optional<TraceSpan> root_;
 };
 

@@ -11,7 +11,6 @@
 #include "obs/clock.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/resource.h"
 #include "obs/statviews.h"
 #include "obs/trace.h"
 #include "txn/group_commit.h"
@@ -486,19 +485,22 @@ void QueryServer::RunTask(Task task) {
   stats_->requests.fetch_add(1, std::memory_order_relaxed);
   RequestsCounter().Add(1);
 
-  // Stage accumulator for this request: the WAL attributes append/fsync
-  // time into it from below, the session contributes execution spans,
-  // and the slow-query log reads queue/fsync from it. Unsampled cost per
+  // One request context for the whole task, the deferred group-commit
+  // wait included: the WAL and the timed locks charge its stages (which
+  // the slow-query log reads), the data containers its memory account,
+  // and every span — the sampled request's whole tree — lands in its
+  // sink. ParallelFor carries it into pool helpers. Unsampled cost per
   // stage stays one clock read + the accumulate branch.
-  obs::StageCollectorScope stage_scope;
-  obs::StageNanos& stages = stage_scope.stages();
+  obs::StageNanos stages;
   stages[obs::RequestStage::kDecode] = task.decode_nanos;
   stages[obs::RequestStage::kQueue] = queue_wait_nanos;
-
-  // Per-query memory account: allocation sites in the data containers
-  // charge it while it is bound to the executing threads (ParallelFor
-  // propagates the binding like TraceBinding).
   obs::MemoryAccount account;
+  obs::SpanSink spans;
+  obs::ContextScope context({.trace_id = task.trace_id,
+                             .sampled = task.sampled,
+                             .account = &account,
+                             .stages = &stages,
+                             .spans = &spans});
 
   Response response;
   if (task.has_deadline && start >= task.deadline) {
@@ -511,18 +513,13 @@ void QueryServer::RunTask(Task task) {
                                  std::to_string(task.request.deadline_ms) +
                                  " ms expired before execution"));
   } else {
-    // Bind the trace id (and, when sampled, forced span recording) to
-    // this thread for the execution; ParallelFor propagates it into pool
-    // helpers, so the whole span tree lands in this request's trace.
-    obs::TraceBindingScope binding({task.trace_id, task.sampled});
-    obs::MemoryAccountScope account_scope(&account);
     // Visible to the stalled-request watchdog for the execution window.
     obs::InflightRequest inflight;
     inflight.trace_id = task.trace_id;
     inflight.op = task.request.op;
     inflight.user = task.conn->User();
     inflight.start_nanos = obs::NowNanos();
-    inflight.mark = obs::TraceCollector::Global().Mark();
+    inflight.spans = &spans;
     inflight.worker_tid = obs::CurrentThreadId();
     obs::ScopedInflightRequest inflight_scope(std::move(inflight));
     const uint64_t execute_start = obs::NowNanos();
@@ -546,12 +543,13 @@ void QueryServer::RunTask(Task task) {
   if (task.request.trace.has_value()) response.timing.emplace();
   (void)WriteResponse(*task.conn, response, &stages, &account);
 
-  PublishTrace(task, response, stage_scope, account);
+  PublishTrace(task, response, stages, account, spans);
 }
 
 void QueryServer::PublishTrace(Task& task, const Response& response,
-                               obs::StageCollectorScope& stage_scope,
-                               const obs::MemoryAccount& account) {
+                               const obs::StageNanos& stages,
+                               const obs::MemoryAccount& account,
+                               obs::SpanSink& spans) {
   const uint64_t total_nanos = obs::NowNanos() - task.decode_start_nanos;
   // Tail-sampling escape hatch: a request that crossed the slow-query
   // threshold is recorded even when head sampling missed it (its span
@@ -572,12 +570,12 @@ void QueryServer::PublishTrace(Task& task, const Response& response,
   record.slow = slow;
   record.start_nanos = task.decode_start_nanos;
   record.total_nanos = total_nanos;
-  record.stages = stage_scope.stages();
+  record.stages = stages;
   record.alloc_bytes = account.AllocatedBytes();
   record.peak_bytes = account.PeakBytes();
   record.reader_tid = task.reader_tid;
   record.worker_tid = obs::CurrentThreadId();
-  record.spans = std::move(stage_scope.spans());
+  record.spans = obs::CopySpans(spans);
   obs::RequestTraceRing::Global().Publish(std::move(record));
 }
 

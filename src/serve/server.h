@@ -255,8 +255,8 @@ class QueryServer {
   /// Publishes the finished request into the global trace ring when it
   /// was sampled (or crossed the slow-query threshold).
   void PublishTrace(Task& task, const Response& response,
-                    obs::StageCollectorScope& stage_scope,
-                    const obs::MemoryAccount& account);
+                    const obs::StageNanos& stages,
+                    const obs::MemoryAccount& account, obs::SpanSink& spans);
 
   workbench::AnalysisSession* session_;
   ServerOptions options_;

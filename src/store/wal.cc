@@ -174,10 +174,10 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(FileEnv* env,
 
 Status WalWriter::Append(const WalRecord& record) {
   const std::string framed = EncodeWalRecord(record);
-  // Stage attribution: WAL appends run synchronously on the worker
-  // thread executing a served request, so the active stage collector
-  // (if any) charges this commit's append and fsync to that request.
-  const bool attribute = obs::StageCollectionActive();
+  // Stage attribution: WAL appends run synchronously on the thread
+  // executing a served request, so the stages of its request context (if
+  // any) are charged with this commit's append and fsync.
+  const bool attribute = obs::CurrentContext().stages != nullptr;
   {
     obs::TraceSpan append_span("wal_append");
     const uint64_t append_start = attribute ? obs::NowNanos() : 0;
@@ -209,7 +209,7 @@ Status WalWriter::Append(const WalRecord& record) {
 }
 
 Status WalWriter::AppendBatch(const std::vector<WalRecord>& records) {
-  const bool attribute = obs::StageCollectionActive();
+  const bool attribute = obs::CurrentContext().stages != nullptr;
   uint64_t batch_bytes = 0;
   {
     obs::TraceSpan append_span("wal_append_batch");

@@ -99,7 +99,7 @@ Status CommitTicket::Wait() {
 
 Status GroupCommitter::WaitOn(
     const std::shared_ptr<CommitTicket::Shared>& shared, CommitTicket* ticket) {
-  const bool attribute = obs::StageCollectionActive();
+  const bool attribute = obs::CurrentContext().stages != nullptr;
   const uint64_t start = obs::NowNanos();
   bool led = false;
 
@@ -120,7 +120,7 @@ Status GroupCommitter::WaitOn(
 
   if (attribute && !led) {
     // Followers charge their whole wait to the shared fsync; the leader's
-    // collector already got the real append+fsync time inside AppendBatch.
+    // stages already got the real append+fsync time inside AppendBatch.
     obs::AddStageNanos(obs::RequestStage::kWalFsync, obs::NowNanos() - start);
   }
   static obs::Histogram& wait_hist =

@@ -784,11 +784,6 @@ void AnalysisSession::ExportTelemetry(
   telemetry_.RecordOperation(entry.operation, entry.elapsed_nanos, entry.ok,
                              slow);
   obs::PublishProfile(profile);
-  // When a served request is collecting stages on this thread, hand it
-  // the execution span tree so the request trace ring gets real spans.
-  if (obs::StageCollectionActive()) {
-    obs::ContributeRequestSpans(profile.spans);
-  }
 
   if (!slow) return;
   obs::LogRecord record(obs::LogLevel::kWarn, "slow_query");
@@ -797,7 +792,8 @@ void AnalysisSession::ExportTelemetry(
       .F64("elapsed_ms", static_cast<double>(entry.elapsed_nanos) / 1e6)
       .U64("threshold_ms", *slow_ms)
       .Bool("ok", entry.ok);
-  if (obs::StageCollectionActive()) {
+  const obs::RequestContext& context = obs::CurrentContext();
+  if (context.stages != nullptr) {
     // Served request: attribute the slow time — admission backlog vs.
     // commit stalls — using the request's stage accumulator.
     record.U64("queue_wait_ns",
@@ -807,7 +803,7 @@ void AnalysisSession::ExportTelemetry(
     record.U64("lock_wait_ns",
                obs::CollectedStageNanos(obs::RequestStage::kLockWait));
   }
-  if (const obs::MemoryAccount* account = obs::CurrentMemoryAccount();
+  if (const obs::MemoryAccount* account = context.account;
       account != nullptr) {
     record.U64("alloc_bytes", account->AllocatedBytes());
     record.U64("peak_bytes", account->PeakBytes());

@@ -19,6 +19,7 @@
 #include "dist/merge.h"
 #include "dist/partition.h"
 #include "dist/router.h"
+#include "obs/request_trace.h"
 #include "rel/schema.h"
 #include "rel/table.h"
 #include "sage/cleaning.h"
@@ -252,6 +253,44 @@ TEST(DistMergeBattery, RouterIsByteIdenticalToSingleNode) {
       cluster->Stop();
     }
   }
+}
+
+// One routed request is one trace record at the router, and its spans
+// include the fan-out the router's handler ran outside any operation
+// capture.
+TEST(DistRouterTest, TracedRoutedRequestRecordsItsFanOut) {
+  obs::RequestTraceRing::Global().Clear();
+  const sage::SageDataSet full = CleanSmallData();
+  std::unique_ptr<ShardedCluster> cluster = ShardedCluster::Start(full, 2);
+  ASSERT_FALSE(HasFatalFailure());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(cluster->router->Port()).ok());
+  ASSERT_TRUE(client.Login("router", "router-secret", "admin").ok());
+  Result<Response> brain =
+      client.Call("tissue_dataset", {{"tissue", "brain"}});
+  ASSERT_TRUE(brain.ok());
+  ASSERT_TRUE(brain->ok()) << brain->message;
+
+  client.SetTracing(true);
+  Result<Response> agg =
+      client.Call("aggregate", {{"enum", "brain"}, {"out", "TracedSumy"}});
+  ASSERT_TRUE(agg.ok());
+  ASSERT_TRUE(agg->ok()) << agg->message;
+  const uint64_t trace_id = client.LastTraceId();
+  ASSERT_NE(trace_id, 0u);
+  cluster->Stop();  // joins the router's workers: every record is published
+
+  size_t records = 0;
+  std::set<std::string> spans;
+  for (const obs::RequestTraceRecord& record :
+       obs::RequestTraceRing::Global().Snapshot()) {
+    if (record.trace_id != trace_id) continue;
+    ++records;
+    EXPECT_EQ(record.op, "aggregate");
+    for (const obs::SpanRecord& span : record.spans) spans.insert(span.name);
+  }
+  EXPECT_EQ(records, 1u);
+  EXPECT_TRUE(spans.count("router_fanout"));
 }
 
 TEST(DistRouterTest, FencesAndShardSurface) {

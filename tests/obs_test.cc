@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -16,6 +19,7 @@
 #include "core/operators.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "obs/trace.h"
 
 namespace gea::obs {
@@ -256,33 +260,35 @@ TEST(KernelCountersTest, TagIdsResolveOncePerTagNotOncePerValue) {
 
 TEST(TraceTest, DisabledSpanHasZeroIdAndRecordsNothing) {
   ScopedTraceEnable off(false);
-  const uint64_t mark = TraceCollector::Global().Mark();
+  SpanSink sink;
+  ContextScope scope({.spans = &sink});
   {
     TraceSpan span("invisible");
     EXPECT_EQ(span.id(), 0u);
   }
-  EXPECT_TRUE(TraceCollector::Global().DrainSince(mark).empty());
+  EXPECT_TRUE(sink.spans.empty());
 }
 
-TEST(TraceTest, SpansNestAndDrainInStartOrder) {
+TEST(TraceTest, SpansNestAndLandInTheSinkInStartOrder) {
   ScopedTraceEnable on(true);
-  const uint64_t mark = TraceCollector::Global().Mark();
+  SpanSink sink;
+  ContextScope scope({.trace_id = 42, .spans = &sink});
   uint64_t outer_id = 0;
   {
     TraceSpan outer("outer");
     outer_id = outer.id();
     EXPECT_NE(outer_id, 0u);
-    EXPECT_EQ(CurrentSpanId(), outer_id);
+    EXPECT_EQ(CurrentContext().parent_span, outer_id);
     {
       TraceSpan inner("inner");
-      EXPECT_EQ(CurrentSpanId(), inner.id());
+      EXPECT_EQ(CurrentContext().parent_span, inner.id());
       { TraceSpan leaf("leaf"); }
     }
-    EXPECT_EQ(CurrentSpanId(), outer_id);
+    EXPECT_EQ(CurrentContext().parent_span, outer_id);
   }
-  EXPECT_EQ(CurrentSpanId(), 0u);
+  EXPECT_EQ(CurrentContext().parent_span, 0u);
 
-  std::vector<SpanRecord> spans = TraceCollector::Global().DrainSince(mark);
+  std::vector<SpanRecord> spans = CopySpans(sink);
   ASSERT_EQ(spans.size(), 3u);
   // Sorted by (start_nanos, id): open order outer -> inner -> leaf.
   EXPECT_EQ(spans[0].name, "outer");
@@ -292,36 +298,87 @@ TEST(TraceTest, SpansNestAndDrainInStartOrder) {
   EXPECT_EQ(spans[1].parent_id, spans[0].id);
   EXPECT_EQ(spans[2].parent_id, spans[1].id);
   EXPECT_GE(spans[0].duration_nanos, spans[1].duration_nanos);
+  for (const SpanRecord& span : spans) EXPECT_EQ(span.trace_id, 42u);
 
-  // Drained: a second drain from the same mark is empty.
-  EXPECT_TRUE(TraceCollector::Global().DrainSince(mark).empty());
+  // A copy from an index skips the spans before it.
+  EXPECT_EQ(CopySpans(sink, 2).size(), 1u);
+  EXPECT_TRUE(CopySpans(sink, 3).empty());
 }
 
-TEST(TraceTest, MarkDiscardsEarlierSpans) {
+TEST(TraceTest, SpansWithNoSinkAreDropped) {
   ScopedTraceEnable on(true);
-  const uint64_t before = TraceCollector::Global().Mark();
-  { TraceSpan old_span("old"); }
-  const uint64_t mark = TraceCollector::Global().Mark();
-  { TraceSpan new_span("new"); }
-  std::vector<SpanRecord> spans = TraceCollector::Global().DrainSince(mark);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "new");
-  (void)before;
+  ASSERT_EQ(CurrentContext().spans, nullptr);
+  SpanSink sink;
+  {
+    TraceSpan outer("outer");  // closes with no sink bound: dropped
+    ContextScope scope({.spans = &sink});
+    { TraceSpan inner("inner"); }
+  }
+  ASSERT_EQ(sink.spans.size(), 1u);
+  EXPECT_EQ(sink.spans[0].name, "inner");
+}
+
+TEST(TraceTest, SampledContextRecordsWithTraceOff) {
+  ScopedTraceEnable off(false);
+  EXPECT_FALSE(SpanRecordingEnabled());
+  SpanSink sink;
+  {
+    ContextScope scope({.trace_id = 7, .sampled = true, .spans = &sink});
+    EXPECT_TRUE(SpanRecordingEnabled());
+    { TraceSpan span("sampled"); }
+  }
+  EXPECT_FALSE(SpanRecordingEnabled());
+  ASSERT_EQ(sink.spans.size(), 1u);
+  EXPECT_EQ(sink.spans[0].trace_id, 7u);
+}
+
+TEST(ContextScopeTest, NestedScopesShadowAndRestoreTheWholeContext) {
+  SpanSink outer_sink;
+  SpanSink inner_sink;
+  {
+    ContextScope outer({.trace_id = 1, .sampled = true, .parent_span = 5,
+                        .spans = &outer_sink});
+    {
+      ContextScope inner({.trace_id = 2, .spans = &inner_sink});
+      EXPECT_EQ(CurrentContext().trace_id, 2u);
+      EXPECT_FALSE(CurrentContext().sampled);
+      EXPECT_EQ(CurrentContext().parent_span, 0u);
+      EXPECT_EQ(CurrentContext().spans, &inner_sink);
+    }
+    EXPECT_EQ(CurrentContext().trace_id, 1u);
+    EXPECT_TRUE(CurrentContext().sampled);
+    EXPECT_EQ(CurrentContext().parent_span, 5u);
+    EXPECT_EQ(CurrentContext().spans, &outer_sink);
+  }
+  EXPECT_EQ(CurrentContext().trace_id, 0u);
+  EXPECT_FALSE(CurrentContext().sampled);
+  EXPECT_EQ(CurrentContext().spans, nullptr);
 }
 
 TEST(TraceTest, ParallelForChunksAttachToCallingSpan) {
   ScopedTraceEnable on(true);
   ThreadCountOverride threads(4);
-  const uint64_t mark = TraceCollector::Global().Mark();
+  SpanSink sink;
+  StageNanos stages;
+  std::atomic<int> wrong_context{0};
   {
+    ContextScope scope({.trace_id = 9, .stages = &stages, .spans = &sink});
     TraceSpan op("op");
     std::atomic<size_t> covered{0};
     ParallelFor(0, 4096, 64, [&](size_t begin, size_t end) {
       covered.fetch_add(end - begin);
+      // Helpers carry the caller's trace and sink, never its stages.
+      const RequestContext& context = CurrentContext();
+      const bool caller = context.stages == &stages;
+      if (context.trace_id != 9 || context.spans != &sink ||
+          (!caller && context.stages != nullptr)) {
+        wrong_context.fetch_add(1);
+      }
     });
     EXPECT_EQ(covered.load(), 4096u);
   }
-  std::vector<SpanRecord> spans = TraceCollector::Global().DrainSince(mark);
+  EXPECT_EQ(wrong_context.load(), 0);
+  std::vector<SpanRecord> spans = CopySpans(sink);
 
   uint64_t op_id = 0, pf_id = 0;
   size_t chunk_count = 0;
@@ -332,15 +389,48 @@ TEST(TraceTest, ParallelForChunksAttachToCallingSpan) {
   ASSERT_NE(op_id, 0u);
   ASSERT_NE(pf_id, 0u);
   for (const SpanRecord& span : spans) {
-    if (span.name == "parallel_for") EXPECT_EQ(span.parent_id, op_id);
+    EXPECT_EQ(span.trace_id, 9u);
+    if (span.name == "parallel_for") {
+      EXPECT_EQ(span.parent_id, op_id);
+    }
     if (span.name == "chunk") {
       // Worker-side spans attach to the parallel_for span of the
-      // submitting thread through TraceParentScope.
+      // submitting thread through the copied context.
       EXPECT_EQ(span.parent_id, pf_id);
       ++chunk_count;
     }
   }
   EXPECT_GE(chunk_count, 2u);
+
+  // The helpers' context did not outlive the call: every pool worker is
+  // back to an empty one. Each probe task waits until all of them run, so
+  // every worker takes exactly one.
+  ThreadPool& pool = SharedThreadPool();
+  const size_t workers = pool.NumThreads();
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  size_t finished = 0;
+  int leaked = 0;
+  for (size_t i = 0; i < workers; ++i) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      cv.notify_all();
+      cv.wait(lock, [&] { return arrived == workers; });
+      const RequestContext& context = CurrentContext();
+      if (context.trace_id != 0 || context.sampled ||
+          context.parent_span != 0 || context.account != nullptr ||
+          context.stages != nullptr || context.spans != nullptr) {
+        ++leaked;
+      }
+      ++finished;
+      cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return finished == workers; });
+  EXPECT_EQ(leaked, 0);
 }
 
 // ---- Exporters ----
@@ -535,6 +625,81 @@ TEST(OperationCaptureTest, WorksWithEverythingDisabled) {
   EXPECT_TRUE(profile.spans.empty());
   EXPECT_TRUE(profile.counters.empty());
   EXPECT_NE(profile.Render().find("dark_op"), std::string::npos);
+}
+
+bool HasSpan(const OperationProfile& profile, const std::string& name) {
+  for (const SpanRecord& span : profile.spans) {
+    if (span.name == name) return true;
+  }
+  return false;
+}
+
+// Two direct (unserved) captures overlap on two threads: B opens, A opens,
+// B records a span, A finishes, B finishes. Each profile holds exactly
+// its own thread's spans.
+TEST(OperationCaptureTest, ConcurrentCapturesKeepTheirOwnSpans) {
+  ScopedTraceEnable trace(true);
+  std::mutex mu;
+  std::condition_variable cv;
+  int step = 0;
+  const auto wait_for = [&](int wanted) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return step >= wanted; });
+  };
+  const auto advance = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ++step;
+    }
+    cv.notify_all();
+  };
+
+  OperationProfile a_profile;
+  OperationProfile b_profile;
+  std::thread b([&] {
+    OperationCapture capture("b_op");
+    advance();  // 1: B is open
+    wait_for(2);
+    { TraceSpan span("other_work"); }
+    advance();  // 3: B recorded other_work
+    wait_for(4);
+    b_profile = capture.Finish();
+  });
+  std::thread a([&] {
+    wait_for(1);
+    OperationCapture capture("a_op");
+    advance();  // 2: A is open
+    wait_for(3);
+    a_profile = capture.Finish();
+    advance();  // 4: A finished
+  });
+  a.join();
+  b.join();
+
+  EXPECT_TRUE(HasSpan(a_profile, "a_op"));
+  EXPECT_FALSE(HasSpan(a_profile, "other_work"));
+  EXPECT_FALSE(HasSpan(a_profile, "b_op"));
+  EXPECT_TRUE(HasSpan(b_profile, "b_op"));
+  EXPECT_TRUE(HasSpan(b_profile, "other_work"));
+  EXPECT_FALSE(HasSpan(b_profile, "a_op"));
+}
+
+// Inside a bound sink (a served request) the capture keeps only the
+// slice recorded since it opened, and the sink keeps everything.
+TEST(OperationCaptureTest, CaptureInABoundSinkKeepsItsOwnSlice) {
+  ScopedTraceEnable trace(true);
+  SpanSink sink;
+  ContextScope scope({.spans = &sink});
+  { TraceSpan before("before"); }
+  OperationCapture capture("op");
+  { TraceSpan step("step"); }
+  OperationProfile profile = capture.Finish();
+  { TraceSpan after("after"); }
+
+  ASSERT_EQ(profile.spans.size(), 2u);
+  EXPECT_EQ(profile.spans[0].name, "op");
+  EXPECT_EQ(profile.spans[1].name, "step");
+  EXPECT_EQ(sink.spans.size(), 4u);
 }
 
 }  // namespace

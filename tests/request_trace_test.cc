@@ -1,4 +1,4 @@
-// Tests for per-request stage attribution: the thread-local stage sink,
+// Tests for per-request stage attribution: the context's stage sink,
 // 1-in-N sampling, the fixed-capacity trace ring (wraparound and
 // concurrent publish/read — run under TSan via the "parallel" label) and
 // the Chrome trace-event JSON exporter's structural invariants.
@@ -41,39 +41,29 @@ RequestTraceRecord MakeRecord(uint64_t trace_id, uint64_t request_id,
 // ---------- Stage sink ----------
 
 TEST(StageSinkTest, InactiveByDefaultAndScoped) {
-  EXPECT_FALSE(StageCollectionActive());
+  EXPECT_EQ(CurrentContext().stages, nullptr);
   AddStageNanos(RequestStage::kExecute, 100);  // no-op, must not crash
   EXPECT_EQ(CollectedStageNanos(RequestStage::kExecute), 0u);
 
-  StageCollectorScope scope;
-  EXPECT_TRUE(StageCollectionActive());
+  StageNanos stages;
+  ContextScope scope({.stages = &stages});
   AddStageNanos(RequestStage::kWalFsync, 40);
   AddStageNanos(RequestStage::kWalFsync, 2);
   EXPECT_EQ(CollectedStageNanos(RequestStage::kWalFsync), 42u);
-  EXPECT_EQ(scope.stages()[RequestStage::kWalFsync], 42u);
+  EXPECT_EQ(stages[RequestStage::kWalFsync], 42u);
 }
 
 TEST(StageSinkTest, NestedScopesShadow) {
-  StageCollectorScope outer;
+  StageNanos outer_stages;
+  ContextScope outer({.stages = &outer_stages});
   AddStageNanos(RequestStage::kDecode, 7);
   {
-    StageCollectorScope inner;
+    StageNanos inner_stages;
+    ContextScope inner({.stages = &inner_stages});
     AddStageNanos(RequestStage::kDecode, 100);
     EXPECT_EQ(CollectedStageNanos(RequestStage::kDecode), 100u);
   }
   EXPECT_EQ(CollectedStageNanos(RequestStage::kDecode), 7u);
-}
-
-TEST(StageSinkTest, ContributedSpansLandInScope) {
-  std::vector<SpanRecord> spans(2);
-  spans[0].name = "op";
-  spans[1].name = "wal_fsync";
-  ContributeRequestSpans(spans);  // no scope: dropped, no crash
-
-  StageCollectorScope scope;
-  ContributeRequestSpans(std::move(spans));
-  ASSERT_EQ(scope.spans().size(), 2u);
-  EXPECT_EQ(scope.spans()[1].name, "wal_fsync");
 }
 
 TEST(StageSinkTest, StageNamesAreStable) {

@@ -377,7 +377,26 @@ TEST(ServeE2eTest, TracedRunExportsValidChromeTrace) {
   EXPECT_GT(client.LastTiming()->wal_fsync_nanos, 0u);
   EXPECT_NE(client.LastTraceId(), 0u);
 
+  const uint64_t agg_trace_id = client.LastTraceId();
+
   server.Stop();
+
+  // The aggregate's record holds its commit spans too: the group-commit
+  // wait runs after the operation's capture closed, still inside the
+  // request.
+  std::set<std::string> agg_spans;
+  for (const obs::RequestTraceRecord& record :
+       obs::RequestTraceRing::Global().Snapshot()) {
+    if (record.trace_id != agg_trace_id) continue;
+    for (const obs::SpanRecord& span : record.spans) {
+      agg_spans.insert(span.name);
+      EXPECT_EQ(span.trace_id, agg_trace_id) << span.name;
+    }
+  }
+  for (const char* name :
+       {"aggregate", "group_commit", "wal_append_batch", "wal_fsync"}) {
+    EXPECT_TRUE(agg_spans.count(name)) << name;
+  }
 
   // Render the ring exactly as /tracez?format=chrome would.
   obs::internal::HttpResponse chrome =
@@ -387,7 +406,8 @@ TEST(ServeE2eTest, TracedRunExportsValidChromeTrace) {
   ASSERT_TRUE(obs::internal::ValidateJson(chrome.body, &error)) << error;
   for (const char* needle :
        {"\"decode\"", "\"queue_wait\"", "\"execute\"", "\"wal_fsync\"",
-        "\"encode\"", "\"write\"", "\"gea_server\"", "\"traceEvents\""}) {
+        "\"encode\"", "\"write\"", "\"gea_server\"", "\"traceEvents\"",
+        "\"cat\":\"wal\""}) {
     EXPECT_NE(chrome.body.find(needle), std::string::npos) << needle;
   }
 
@@ -537,6 +557,15 @@ TEST(ServeE2eTest, StatRequestsViewQueryableOverTheWire) {
   client.SetTracing(true);
   ASSERT_TRUE(client.Login("admin", "secret", "admin").ok());
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.Ping().ok());
+  // A worker publishes its record after writing the reply (the record
+  // carries the write stage), so the last ping's record can trail the
+  // reply: wait for the login's and the three pings'.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (obs::RequestTraceRing::Global().Published() < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // The rollup of the ring is an ordinary catalog table: aggregate it
   // over the very protocol it measures.

@@ -88,7 +88,8 @@ TEST(TimedMutexTest, ContendedWriteRecordsHistogramAndStage) {
 
   // The writer blocks behind the sleeping reader: the wait lands in the
   // write histogram AND in the thread's lock_wait stage accumulator.
-  obs::StageCollectorScope stage_scope;
+  obs::StageNanos stages;
+  obs::ContextScope context({.stages = &stages});
   {
     std::unique_lock<SharedTimedMutex> write(mu);
   }
@@ -96,7 +97,7 @@ TEST(TimedMutexTest, ContendedWriteRecordsHistogramAndStage) {
 
   EXPECT_EQ(write_waits.Count(), writes_before + 1);
   EXPECT_EQ(read_waits.Count(), reads_before);
-  const uint64_t waited = obs::CollectedStageNanos(RequestStage::kLockWait);
+  const uint64_t waited = stages[RequestStage::kLockWait];
   EXPECT_GE(waited, 10'000'000u);  // slept 30ms; allow generous clock slop
 }
 

@@ -225,7 +225,6 @@ TEST(WatchdogTest, FlagsAndLogsStalledRequestsOnce) {
   stalled.op = "aggregate";
   stalled.user = "admin";
   stalled.start_nanos = NowNanos() - 50'000'000ull;  // "executing" for 50ms
-  stalled.mark = TraceCollector::Global().Mark();
   stalled.worker_tid = 9;
   ScopedInflightRequest scope(std::move(stalled));
 
@@ -233,7 +232,6 @@ TEST(WatchdogTest, FlagsAndLogsStalledRequestsOnce) {
   fresh.trace_id = 778;
   fresh.op = "ping";
   fresh.start_nanos = NowNanos();
-  fresh.mark = TraceCollector::Global().Mark();
   ScopedInflightRequest fresh_scope(std::move(fresh));
 
   // Only the 50ms-old request crosses the 10ms threshold.
@@ -250,6 +248,37 @@ TEST(WatchdogTest, FlagsAndLogsStalledRequestsOnce) {
   EXPECT_EQ(log.find("\"trace_id\":778"), std::string::npos) << log;
 }
 
+TEST(WatchdogTest, StalledRequestLogCarriesTheSpansOfItsSink) {
+  ScopedLogCapture capture(LogLevel::kWarn);
+  ScopedTraceEnable trace(true);
+
+  // The spans the stalled request has recorded so far.
+  SpanSink sink;
+  {
+    ContextScope context({.trace_id = 555, .spans = &sink});
+    TraceSpan outer("populate");
+    { TraceSpan inner("populate.verify"); }
+  }
+  InflightRequest stalled;
+  stalled.trace_id = 555;
+  stalled.op = "populate";
+  stalled.start_nanos = NowNanos() - 50'000'000ull;
+  stalled.spans = &sink;
+  ScopedInflightRequest scope(std::move(stalled));
+
+  EXPECT_EQ(WatchdogSweep(/*threshold_ms=*/10), 1u);
+  const std::string log = capture.str();
+  EXPECT_NE(log.find("\"trace_id\":555"), std::string::npos) << log;
+  const size_t spans_at = log.find("\"spans\":[");
+  ASSERT_NE(spans_at, std::string::npos) << log;
+  // Both spans, in start order: the outer one opened first.
+  const size_t outer_at = log.find("\"name\":\"populate\"", spans_at);
+  const size_t inner_at = log.find("\"name\":\"populate.verify\"", spans_at);
+  EXPECT_NE(outer_at, std::string::npos) << log;
+  EXPECT_NE(inner_at, std::string::npos) << log;
+  EXPECT_LT(outer_at, inner_at) << log;
+}
+
 TEST(WatchdogTest, HarvesterRunsTheWatchdog) {
   ScopedMetricsEnable metrics(true);
   ScopedLogCapture capture(LogLevel::kWarn);
@@ -258,7 +287,6 @@ TEST(WatchdogTest, HarvesterRunsTheWatchdog) {
   stalled.trace_id = 991;
   stalled.op = "mine";
   stalled.start_nanos = NowNanos() - 200'000'000ull;
-  stalled.mark = TraceCollector::Global().Mark();
   ScopedInflightRequest scope(std::move(stalled));
 
   Harvester harvester;

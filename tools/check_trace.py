@@ -14,7 +14,10 @@ This checker enforces what a viewer merely tolerates:
     covers the core pipeline stages: decode, queue_wait, execute,
     encode, write
   * with --require-wal, at least one wal_fsync stage event exists
-    somewhere in the export (the run included a WAL-logged mutation)
+    somewhere in the export (the run included a WAL-logged mutation),
+    and at least one flow of category "wal" is whole: an "s" event and
+    an "f" event with the same id (the fsync span's arrow back to its
+    request)
 
 Usage:
     check_trace.py TRACE_JSON [--require-wal]
@@ -40,7 +43,7 @@ def main():
     parser.add_argument(
         "--require-wal",
         action="store_true",
-        help="require at least one wal_fsync stage event",
+        help="require a wal_fsync stage event and a whole wal flow",
     )
     args = parser.parse_args()
 
@@ -61,6 +64,7 @@ def main():
     last_ts = None
     stages_by_trace = {}
     wal_fsyncs = 0
+    wal_flows = {"s": set(), "f": set()}
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             fail(f"event {i} is not an object")
@@ -83,6 +87,9 @@ def main():
             if not isinstance(dur, (int, float)) or dur < 0:
                 fail(f"slice {i} has bad dur: {dur!r}")
 
+        if ph in wal_flows and event.get("cat") == "wal":
+            wal_flows[ph].add(event.get("id"))
+
         event_args = event.get("args", {})
         if event.get("cat") == "stage":
             trace_id = event_args.get("trace_id")
@@ -102,12 +109,20 @@ def main():
                 f"trace {trace_id} is missing core stages: "
                 f"{', '.join(sorted(missing))}"
             )
-    if args.require_wal and wal_fsyncs == 0:
-        fail("--require-wal: no wal_fsync stage event in the export")
+    whole_flows = wal_flows["s"] & wal_flows["f"]
+    if args.require_wal:
+        if wal_fsyncs == 0:
+            fail("--require-wal: no wal_fsync stage event in the export")
+        if not whole_flows:
+            fail(
+                "--require-wal: no wal flow with both an 's' and an 'f' "
+                "event of the same id"
+            )
 
     print(
         f"check_trace: OK — {len(events)} events, "
-        f"{len(stages_by_trace)} traced requests, {wal_fsyncs} WAL fsyncs"
+        f"{len(stages_by_trace)} traced requests, {wal_fsyncs} WAL fsyncs, "
+        f"{len(whole_flows)} WAL flows"
     )
 
 
