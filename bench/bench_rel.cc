@@ -46,19 +46,23 @@ void BM_Select(benchmark::State& state) {
 BENCHMARK(BM_Select)->RangeMultiplier(4)->Range(1000, 64000)
     ->Complexity(benchmark::oN);
 
-// Row-at-a-time counterpart of BM_Select: the same predicate evaluated
-// through EvalBound on materialized Rows — the pre-columnar scan path,
+// Row-at-a-time counterpart of BM_Select: the same range test spelled
+// with Value::Compare on materialized Rows — the pre-columnar scan path,
 // kept benchmarked so the columnar-vs-row gap stays visible.
 void BM_SelectRow(benchmark::State& state) {
   Table table = MakeTable(static_cast<size_t>(state.range(0)), 1);
+  Result<size_t> column = table.schema().ColumnIndex("value");
+  if (!column.ok()) state.SkipWithError("no value column");
+  const Value lo = Value::Double(100.0);
+  const Value hi = Value::Double(300.0);
   for (auto _ : state) {
-    PredicatePtr pred =
-        Between("value", Value::Double(100.0), Value::Double(300.0));
-    if (!pred->Bind(table.schema()).ok()) state.SkipWithError("bind");
     Table out("out", table.schema());
     for (size_t r = 0; r < table.NumRows(); ++r) {
       Row row = table.GetRow(r);
-      if (pred->EvalBound(row)) out.AppendRowUnchecked(std::move(row));
+      const Value& v = row[*column];
+      if (!v.is_null() && v.Compare(lo) >= 0 && v.Compare(hi) <= 0) {
+        out.AppendRowUnchecked(std::move(row));
+      }
     }
     benchmark::DoNotOptimize(out);
   }

@@ -1,11 +1,12 @@
 // Micro-benchmarks for the durable storage engine: snapshot save/load,
-// WAL append (buffered and fsync-per-record) and WAL replay, plus the
+// WAL append (one record per fsync) and WAL replay, plus the
 // binary-snapshot vs CSV comparison that motivates the format.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "rel/table.h"
@@ -123,32 +124,16 @@ void BM_TableLoadCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_TableLoadCsv)->Arg(16000);
 
-void BM_WalAppend(benchmark::State& state) {
-  store::FileEnv* env = store::FileEnv::Default();
-  const std::string path = BenchDir() + "/bm_append.log";
-  Result<std::unique_ptr<store::WalWriter>> writer = store::WalWriter::Open(
-      env, path, /*truncate=*/true, /*sync_every_record=*/false);
-  if (!writer.ok()) state.SkipWithError(writer.status().ToString().c_str());
-  size_t i = 0;
-  for (auto _ : state) {
-    Status s = (*writer)->Append(MakeRecord(i++));
-    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
-  }
-  (void)(*writer)->Close();
-  (void)env->RemoveFile(path);
-}
-BENCHMARK(BM_WalAppend);
-
 // The durability price: one fsync per acknowledged record.
 void BM_WalAppendSync(benchmark::State& state) {
   store::FileEnv* env = store::FileEnv::Default();
   const std::string path = BenchDir() + "/bm_append_sync.log";
-  Result<std::unique_ptr<store::WalWriter>> writer = store::WalWriter::Open(
-      env, path, /*truncate=*/true, /*sync_every_record=*/true);
+  Result<std::unique_ptr<store::WalWriter>> writer =
+      store::WalWriter::Open(env, path, /*truncate=*/true);
   if (!writer.ok()) state.SkipWithError(writer.status().ToString().c_str());
   size_t i = 0;
   for (auto _ : state) {
-    Status s = (*writer)->Append(MakeRecord(i++));
+    Status s = (*writer)->Append({MakeRecord(i++)});
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
   }
   (void)(*writer)->Close();
@@ -160,13 +145,15 @@ void BM_WalReplay(benchmark::State& state) {
   store::FileEnv* env = store::FileEnv::Default();
   const std::string path = BenchDir() + "/bm_replay.log";
   {
-    Result<std::unique_ptr<store::WalWriter>> writer = store::WalWriter::Open(
-        env, path, /*truncate=*/true, /*sync_every_record=*/false);
+    Result<std::unique_ptr<store::WalWriter>> writer =
+        store::WalWriter::Open(env, path, /*truncate=*/true);
     if (!writer.ok()) state.SkipWithError(writer.status().ToString().c_str());
+    std::vector<store::WalRecord> records;
     for (int64_t i = 0; i < state.range(0); ++i) {
-      Status s = (*writer)->Append(MakeRecord(static_cast<size_t>(i)));
-      if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+      records.push_back(MakeRecord(static_cast<size_t>(i)));
     }
+    Status s = (*writer)->Append(records);
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     (void)(*writer)->Close();
   }
   for (auto _ : state) {

@@ -41,11 +41,11 @@ namespace gea::dist {
 ///
 /// Frames enter the hub through the session's WAL observer, which fires
 /// only for *acknowledged* (fsynced) appends — a follower can never see a
-/// record the primary might lose in a crash. Under group commit
-/// (src/txn/group_commit.h) the observer fires once per record, in LSN
-/// order, after the batch's one shared fsync returns; a batch that dies
-/// between its write and that fsync ships nothing, because none of its
-/// records were ever acknowledged. A bulk state replacement that
+/// record the primary might lose in a crash. Under the storage engine's
+/// group commit (src/store/engine.h) the observer fires once per record,
+/// in LSN order, after the batch's one shared fsync returns; a batch that
+/// dies between its write and that fsync ships nothing, because none of
+/// its records were ever acknowledged. A bulk state replacement that
 /// bypasses the WAL (LoadDatabase) raises the snapshot floor so every
 /// follower is forced back through repl_snapshot.
 

@@ -4,13 +4,6 @@
 
 namespace gea::rel {
 
-void Predicate::EvalColumnar(const Table& table, size_t begin, size_t end,
-                             uint8_t* out) const {
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = EvalBound(table.GetRow(i)) ? 1 : 0;
-  }
-}
-
 const char* CompareOpName(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:
@@ -148,12 +141,6 @@ class ComparePredicate : public Predicate {
     return Status::OK();
   }
 
-  bool EvalBound(const Row& row) const override {
-    const Value& v = row[index_];
-    if (v.is_null() || literal_.is_null()) return false;
-    return ApplyOp(op_, v.Compare(literal_));
-  }
-
   void EvalColumnar(const Table& table, size_t begin, size_t end,
                     uint8_t* out) const override {
     if (literal_.is_null()) {
@@ -183,13 +170,6 @@ class CompareColumnsPredicate : public Predicate {
     GEA_ASSIGN_OR_RETURN(lhs_index_, schema.ColumnIndex(lhs_));
     GEA_ASSIGN_OR_RETURN(rhs_index_, schema.ColumnIndex(rhs_));
     return Status::OK();
-  }
-
-  bool EvalBound(const Row& row) const override {
-    const Value& a = row[lhs_index_];
-    const Value& b = row[rhs_index_];
-    if (a.is_null() || b.is_null()) return false;
-    return ApplyOp(op_, a.Compare(b));
   }
 
   void EvalColumnar(const Table& table, size_t begin, size_t end,
@@ -226,10 +206,6 @@ class IsNullPredicate : public Predicate {
     return Status::OK();
   }
 
-  bool EvalBound(const Row& row) const override {
-    return row[index_].is_null() != negate_;
-  }
-
   void EvalColumnar(const Table& table, size_t begin, size_t end,
                     uint8_t* out) const override {
     const Column& col = table.column(index_);
@@ -256,12 +232,6 @@ class BetweenPredicate : public Predicate {
   Status Bind(const Schema& schema) override {
     GEA_ASSIGN_OR_RETURN(index_, schema.ColumnIndex(column_));
     return Status::OK();
-  }
-
-  bool EvalBound(const Row& row) const override {
-    const Value& v = row[index_];
-    if (v.is_null()) return false;
-    return v.Compare(lo_) >= 0 && v.Compare(hi_) <= 0;
   }
 
   void EvalColumnar(const Table& table, size_t begin, size_t end,
@@ -307,13 +277,6 @@ class AndPredicate : public Predicate {
     return Status::OK();
   }
 
-  bool EvalBound(const Row& row) const override {
-    for (const auto& child : children_) {
-      if (!child->EvalBound(row)) return false;
-    }
-    return true;
-  }
-
   void EvalColumnar(const Table& table, size_t begin, size_t end,
                     uint8_t* out) const override {
     const size_t n = end - begin;
@@ -350,13 +313,6 @@ class OrPredicate : public AndPredicate {
   explicit OrPredicate(std::vector<PredicatePtr> children)
       : AndPredicate(std::move(children)) {}
 
-  bool EvalBound(const Row& row) const override {
-    for (const auto& child : children_) {
-      if (child->EvalBound(row)) return true;
-    }
-    return false;
-  }
-
   void EvalColumnar(const Table& table, size_t begin, size_t end,
                     uint8_t* out) const override {
     const size_t n = end - begin;
@@ -377,10 +333,6 @@ class NotPredicate : public Predicate {
 
   Status Bind(const Schema& schema) override { return child_->Bind(schema); }
 
-  bool EvalBound(const Row& row) const override {
-    return !child_->EvalBound(row);
-  }
-
   void EvalColumnar(const Table& table, size_t begin, size_t end,
                     uint8_t* out) const override {
     child_->EvalColumnar(table, begin, end, out);
@@ -398,7 +350,6 @@ class NotPredicate : public Predicate {
 class TruePredicate : public Predicate {
  public:
   Status Bind(const Schema&) override { return Status::OK(); }
-  bool EvalBound(const Row&) const override { return true; }
   void EvalColumnar(const Table&, size_t begin, size_t end,
                     uint8_t* out) const override {
     std::memset(out, 1, end - begin);

@@ -26,8 +26,9 @@ enum class CompareOp {
 const char* CompareOpName(CompareOp op);
 
 /// A boolean predicate over rows of a given schema. Predicates are built
-/// with the factory functions below and evaluated row-at-a-time; they are
-/// the WHERE clauses of the extensional world (Section 3.2.4).
+/// with the factory functions below and evaluated a column batch at a
+/// time; they are the WHERE clauses of the extensional world (Section
+/// 3.2.4).
 ///
 /// SQL-style NULL handling: a comparison against NULL is false (except
 /// IsNull), so selections silently drop NULL cells, matching how GEA's
@@ -37,19 +38,15 @@ class Predicate {
   virtual ~Predicate() = default;
 
   /// Binds column names to indices in `schema`; must be called (directly or
-  /// through Eval helpers) before EvalBound.
+  /// through Select) before EvalColumnar.
   virtual Status Bind(const Schema& schema) = 0;
 
-  /// Evaluates on a row of the bound schema.
-  virtual bool EvalBound(const Row& row) const = 0;
-
   /// Batch evaluation: writes 1/0 into out[i - begin] for rows
-  /// [begin, end) of `table`, which must match the bound schema. The
-  /// default materializes each row and calls EvalBound; the typed
-  /// predicates override it with kernels over raw column arrays (no Value
-  /// boxing). Results are identical to EvalBound row by row.
+  /// [begin, end) of `table`, which must match the bound schema. Kernels
+  /// run over raw column arrays (no Value boxing) and agree row by row
+  /// with Value::Compare under the NULL rule above.
   virtual void EvalColumnar(const Table& table, size_t begin, size_t end,
-                            uint8_t* out) const;
+                            uint8_t* out) const = 0;
 
   /// Human-readable form for lineage metadata.
   virtual std::string ToString() const = 0;

@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/statviews.h"
 #include "obs/trace.h"
-#include "txn/group_commit.h"
 
 namespace gea::serve {
 
@@ -830,7 +829,7 @@ Response QueryServer::Execute(Connection& conn, const Request& request) {
     // after unlocking, so concurrent writers' records coalesce into one
     // group-commit fsync.
     Response response;
-    std::shared_ptr<txn::CommitTicket> ticket;
+    std::shared_ptr<store::CommitTicket> ticket;
     {
       std::unique_lock<SharedTimedMutex> lock(session_mu_);
       response = handler(request);

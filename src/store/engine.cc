@@ -1,14 +1,19 @@
 #include "store/engine.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/metrics.h"
+#include "obs/request_trace.h"
 #include "obs/statviews.h"
+#include "obs/trace.h"
 
 namespace gea::store {
 
@@ -16,6 +21,16 @@ namespace {
 
 std::mutex g_summary_mu;
 RecoverySummary g_last_summary;  // guarded by g_summary_mu
+
+std::mutex& LiveQueuesMutex() {
+  static std::mutex* mu = new std::mutex;
+  return *mu;
+}
+
+std::set<const CommitQueue*>& LiveQueues() {
+  static auto* queues = new std::set<const CommitQueue*>;
+  return *queues;
+}
 
 /// "123\n" -> 123; anything non-numeric -> nullopt.
 std::optional<uint64_t> ParseGeneration(std::string_view text) {
@@ -67,6 +82,174 @@ void PublishRecoverySummary(const RecoverySummary& summary) {
 RecoverySummary LastRecoverySummary() {
   std::lock_guard<std::mutex> lock(g_summary_mu);
   return g_last_summary;
+}
+
+// ---- Group commit ----
+
+/// The submit queue and leader handoff, shared by an engine and its
+/// tickets.
+struct CommitQueue : std::enable_shared_from_this<CommitQueue> {
+  mutable std::mutex mu;
+  std::condition_variable cv;
+  StorageEngine* engine = nullptr;
+  StorageEngine::DurableCallback on_durable;
+  bool leader_active = false;
+  Status sticky = Status::OK();
+  // Submitted records not yet taken into a batch, with their tickets.
+  std::vector<WalRecord> records;
+  std::vector<std::shared_ptr<CommitTicket>> tickets;
+  uint64_t next_lsn = 1;
+
+  std::shared_ptr<CommitTicket> Submit(WalRecord record) {
+    std::lock_guard<std::mutex> lock(mu);
+    std::shared_ptr<CommitTicket> ticket(new CommitTicket(shared_from_this()));
+    ticket->lsn_ = next_lsn++;
+    if (!sticky.ok()) {
+      ticket->done_ = true;
+      ticket->status_ = sticky;
+      return ticket;
+    }
+    records.push_back(std::move(record));
+    tickets.push_back(ticket);
+    return ticket;
+  }
+
+  Status Wait(CommitTicket* ticket) {
+    const uint64_t start = obs::NowNanos();
+    std::unique_lock<std::mutex> lock(mu);
+    if (ticket->done_) {
+      // Another thread's batch committed the record before this wait
+      // began: an empty wait, still recorded so every commit has a span.
+      obs::TraceSpan span("wal_fsync");
+    }
+    LeadUntil(lock, [ticket] { return ticket->done_; });
+    const Status status = ticket->status_;
+    lock.unlock();
+    static obs::Histogram& wait_hist =
+        obs::MetricsRegistry::Global().GetHistogram(
+            "gea.txn.commit_wait_nanos");
+    wait_hist.Record(obs::NowNanos() - start);
+    return status;
+  }
+
+  Status Drain() {
+    std::unique_lock<std::mutex> lock(mu);
+    LeadUntil(lock, [this] { return records.empty() && !leader_active; });
+    return sticky;
+  }
+
+  /// Leads a batch whenever none is in flight, until `done()` holds.
+  /// Waiting on another thread's batch is charged to the request's
+  /// wal_fsync stage and recorded as a wal_fsync span; the leader's
+  /// stages and spans come from the append itself.
+  template <typename Done>
+  void LeadUntil(std::unique_lock<std::mutex>& lock, Done done) {
+    while (!done()) {
+      if (!leader_active) {
+        leader_active = true;
+        LeadOneBatch(lock);
+        leader_active = false;
+        cv.notify_all();
+        continue;
+      }
+      obs::TraceSpan span("wal_fsync");
+      const uint64_t wait_start = obs::NowNanos();
+      cv.wait(lock, [&] { return done() || !leader_active; });
+      obs::AddStageNanos(obs::RequestStage::kWalFsync,
+                         obs::NowNanos() - wait_start);
+    }
+  }
+
+  /// Takes the whole queue, commits it with one fsync, fires callbacks,
+  /// completes the tickets. Called with `lock` held on `mu` and
+  /// leader_active set; returns with it held.
+  void LeadOneBatch(std::unique_lock<std::mutex>& lock) {
+    std::vector<WalRecord> batch;
+    batch.swap(records);
+    std::vector<std::shared_ptr<CommitTicket>> batch_tickets;
+    batch_tickets.swap(tickets);
+    const Status sticky_at_entry = sticky;
+    const StorageEngine::DurableCallback durable = on_durable;
+    lock.unlock();
+
+    Status status = sticky_at_entry;
+    uint64_t append_nanos = 0;
+    if (status.ok()) {
+      obs::TraceSpan span("group_commit");
+      const uint64_t start = obs::NowNanos();
+      status = engine->AppendBatch(batch);
+      append_nanos = obs::NowNanos() - start;
+    }
+
+    if (status.ok() && durable) {
+      // LSN order within the batch (queue order) and across batches
+      // (single leader at a time) — the replication hub's ordering
+      // contract.
+      for (size_t i = 0; i < batch.size(); ++i) {
+        durable(batch_tickets[i]->lsn_, batch[i]);
+      }
+    }
+
+    auto& registry = obs::MetricsRegistry::Global();
+    static obs::Counter& commits =
+        registry.GetCounter("gea.txn.group_commits");
+    static obs::Counter& commit_records =
+        registry.GetCounter("gea.txn.group_commit_records");
+    static obs::Histogram& batch_records =
+        registry.GetHistogram("gea.txn.group_commit_batch_records");
+    static obs::Histogram& per_record =
+        registry.GetHistogram("gea.txn.fsync_nanos_per_record");
+    commits.Add(1);
+    commit_records.Add(batch.size());
+    batch_records.Record(batch.size());
+    if (!batch.empty()) per_record.Record(append_nanos / batch.size());
+
+    lock.lock();
+    if (!status.ok() && sticky.ok()) sticky = status;
+    for (const std::shared_ptr<CommitTicket>& ticket : batch_tickets) {
+      ticket->done_ = true;
+      ticket->status_ = status;
+    }
+  }
+};
+
+Status CommitTicket::Wait() { return queue_->Wait(this); }
+
+size_t LiveCommitQueueDepth() {
+  std::lock_guard<std::mutex> lock(LiveQueuesMutex());
+  size_t depth = 0;
+  for (const CommitQueue* queue : LiveQueues()) {
+    std::lock_guard<std::mutex> queue_lock(queue->mu);
+    depth += queue->records.size();
+  }
+  return depth;
+}
+
+StorageEngine::StorageEngine(FileEnv* env, std::string directory,
+                             StorageOptions options)
+    : env_(env),
+      directory_(std::move(directory)),
+      options_(options),
+      commits_(std::make_shared<CommitQueue>()) {
+  commits_->engine = this;
+  std::lock_guard<std::mutex> lock(LiveQueuesMutex());
+  LiveQueues().insert(commits_.get());
+}
+
+std::shared_ptr<CommitTicket> StorageEngine::Submit(WalRecord record) {
+  return commits_->Submit(std::move(record));
+}
+
+Status StorageEngine::Drain() { return commits_->Drain(); }
+
+void StorageEngine::set_durable_callback(DurableCallback callback) {
+  std::lock_guard<std::mutex> lock(commits_->mu);
+  commits_->on_durable = std::move(callback);
+}
+
+size_t StorageEngine::QueueDepth() const {
+  std::lock_guard<std::mutex> lock(commits_->mu);
+  return commits_->records.size();
 }
 
 std::string StorageEngine::SnapshotPath(uint64_t generation) const {
@@ -171,11 +354,11 @@ Result<StorageEngine::OpenResult> StorageEngine::Open(
   }
   summary.wal_records_replayed = result.records.size();
 
-  GEA_ASSIGN_OR_RETURN(
-      engine.wal_, WalWriter::Open(env, wal_path, /*truncate=*/false,
-                                   options.sync_every_record));
+  GEA_ASSIGN_OR_RETURN(engine.wal_,
+                       WalWriter::Open(env, wal_path, /*truncate=*/false));
   engine.records_since_checkpoint_ = result.records.size();
   engine.last_lsn_ = result.records.size();
+  engine.commits_->next_lsn = result.records.size() + 1;
 
   // Sweep leftovers from interrupted checkpoints (best-effort).
   if (auto names = env->ListDirectory(directory); names.ok()) {
@@ -201,18 +384,10 @@ Result<StorageEngine::OpenResult> StorageEngine::Open(
   return result;
 }
 
-Status StorageEngine::Append(const WalRecord& record) {
-  if (!wal_) return Status::FailedPrecondition("storage engine is closed");
-  GEA_RETURN_IF_ERROR(wal_->Append(record));
-  records_since_checkpoint_ += 1;
-  last_lsn_ += 1;
-  return Status::OK();
-}
-
 Status StorageEngine::AppendBatch(const std::vector<WalRecord>& records) {
   if (!wal_) return Status::FailedPrecondition("storage engine is closed");
   if (records.empty()) return Status::OK();
-  GEA_RETURN_IF_ERROR(wal_->AppendBatch(records));
+  GEA_RETURN_IF_ERROR(wal_->Append(records));
   records_since_checkpoint_ += records.size();
   last_lsn_ += records.size();
   return Status::OK();
@@ -224,6 +399,7 @@ bool StorageEngine::CheckpointDue() const {
 }
 
 Status StorageEngine::Checkpoint(const SnapshotImage& image) {
+  GEA_RETURN_IF_ERROR(Drain());
   const uint64_t next = generation_ + 1;
 
   // 1. Publish the snapshot (atomic in WriteSnapshotFile).
@@ -232,14 +408,12 @@ Status StorageEngine::Checkpoint(const SnapshotImage& image) {
   // 2. Start the next WAL with a checkpoint marker; until CURRENT is
   //    replaced this file is invisible to recovery.
   GEA_ASSIGN_OR_RETURN(std::unique_ptr<WalWriter> next_wal,
-                       WalWriter::Open(env_, WalPath(next), /*truncate=*/true,
-                                       options_.sync_every_record));
+                       WalWriter::Open(env_, WalPath(next), /*truncate=*/true));
   WalRecord marker;
   marker.type = WalRecord::Type::kCheckpoint;
   marker.op = "checkpoint";
   marker.params["generation"] = std::to_string(next);
-  GEA_RETURN_IF_ERROR(next_wal->Append(marker));
-  GEA_RETURN_IF_ERROR(next_wal->Sync());
+  GEA_RETURN_IF_ERROR(next_wal->Append({marker}));
 
   // 3. Commit: CURRENT now names the new generation.
   GEA_RETURN_IF_ERROR(WriteCurrentFile(next));
@@ -272,13 +446,18 @@ Status StorageEngine::WriteCurrentFile(uint64_t generation) {
 }
 
 Status StorageEngine::Close() {
-  if (!wal_) return Status::OK();
-  Status s = wal_->Close();
+  Status drained = Drain();
+  if (!wal_) return drained;
+  Status closed = wal_->Close();
   wal_.reset();
-  return s;
+  return drained.ok() ? closed : drained;
 }
 
-StorageEngine::~StorageEngine() { (void)Close(); }
+StorageEngine::~StorageEngine() {
+  (void)Close();
+  std::lock_guard<std::mutex> lock(LiveQueuesMutex());
+  LiveQueues().erase(commits_.get());
+}
 
 namespace {
 

@@ -164,51 +164,16 @@ Result<WalReader::TailResult> WalReader::Poll() {
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(FileEnv* env,
                                                    const std::string& path,
-                                                   bool truncate,
-                                                   bool sync_every_record) {
+                                                   bool truncate) {
   GEA_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
                        env->NewWritableFile(path, truncate));
-  return std::unique_ptr<WalWriter>(
-      new WalWriter(std::move(file), sync_every_record));
+  return std::unique_ptr<WalWriter>(new WalWriter(std::move(file)));
 }
 
-Status WalWriter::Append(const WalRecord& record) {
-  const std::string framed = EncodeWalRecord(record);
-  // Stage attribution: WAL appends run synchronously on the thread
-  // executing a served request, so the stages of its request context (if
-  // any) are charged with this commit's append and fsync.
-  const bool attribute = obs::CurrentContext().stages != nullptr;
-  {
-    obs::TraceSpan append_span("wal_append");
-    const uint64_t append_start = attribute ? obs::NowNanos() : 0;
-    GEA_RETURN_IF_ERROR(file_->Append(framed));
-    if (attribute) {
-      obs::AddStageNanos(obs::RequestStage::kWalAppend,
-                         obs::NowNanos() - append_start);
-    }
-  }
-  if (sync_every_record_) {
-    obs::TraceSpan fsync_span("wal_fsync");
-    const uint64_t fsync_start = attribute ? obs::NowNanos() : 0;
-    GEA_RETURN_IF_ERROR(file_->Sync());
-    if (attribute) {
-      obs::AddStageNanos(obs::RequestStage::kWalFsync,
-                         obs::NowNanos() - fsync_start);
-    }
-  }
-  records_ += 1;
-  bytes_ += framed.size();
-
-  static obs::Counter& wal_records =
-      obs::MetricsRegistry::Global().GetCounter("gea.store.wal_records");
-  static obs::Counter& wal_bytes =
-      obs::MetricsRegistry::Global().GetCounter("gea.store.wal_bytes");
-  wal_records.Add(1);
-  wal_bytes.Add(framed.size());
-  return Status::OK();
-}
-
-Status WalWriter::AppendBatch(const std::vector<WalRecord>& records) {
+Status WalWriter::Append(const std::vector<WalRecord>& records) {
+  // Stage attribution: the batch leader appends on the thread of the
+  // request it serves, so that request's stages (if any) are charged
+  // with the append and the fsync.
   const bool attribute = obs::CurrentContext().stages != nullptr;
   uint64_t batch_bytes = 0;
   {
@@ -244,8 +209,6 @@ Status WalWriter::AppendBatch(const std::vector<WalRecord>& records) {
   wal_bytes.Add(batch_bytes);
   return Status::OK();
 }
-
-Status WalWriter::Sync() { return file_->Sync(); }
 
 Status WalWriter::Close() {
   if (!file_) return Status::OK();

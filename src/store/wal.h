@@ -115,38 +115,30 @@ class WalReader {
   uint64_t records_read_ = 0;
 };
 
-/// Appender. With sync_every_record (the default) each Append is
-/// fsynced before returning, which is the durability contract the
-/// session relies on: an acknowledged operation survives a crash.
+/// Appender: every Append is one batch of records followed by one fsync,
+/// so a record is durable when its Append returns OK.
 class WalWriter {
  public:
   static Result<std::unique_ptr<WalWriter>> Open(FileEnv* env,
                                                  const std::string& path,
-                                                 bool truncate,
-                                                 bool sync_every_record);
+                                                 bool truncate);
 
-  Status Append(const WalRecord& record);
+  /// Appends every record, then issues ONE fsync for the whole batch.
+  /// On failure the batch must be treated as entirely unacknowledged (the
+  /// tail may be torn mid-batch; recovery trims it like any other torn
+  /// tail).
+  Status Append(const std::vector<WalRecord>& records);
 
-  /// Appends every record, then issues ONE fsync for the whole batch —
-  /// the group-commit primitive. The sync happens regardless of
-  /// sync_every_record: callers batch precisely to amortize the sync, so
-  /// durability-on-return is the point. On failure the batch must be
-  /// treated as entirely unacknowledged (the tail may be torn mid-batch;
-  /// recovery trims it like any other torn tail).
-  Status AppendBatch(const std::vector<WalRecord>& records);
-
-  Status Sync();
   Status Close();
 
   uint64_t records() const { return records_; }
   uint64_t bytes() const { return bytes_; }
 
  private:
-  WalWriter(std::unique_ptr<WritableFile> file, bool sync_every_record)
-      : file_(std::move(file)), sync_every_record_(sync_every_record) {}
+  explicit WalWriter(std::unique_ptr<WritableFile> file)
+      : file_(std::move(file)) {}
 
   std::unique_ptr<WritableFile> file_;
-  bool sync_every_record_;
   uint64_t records_ = 0;
   uint64_t bytes_ = 0;
 };

@@ -10,8 +10,8 @@
 #include "obs/metrics.h"
 #include "obs/statviews.h"
 #include "rel/table.h"
+#include "store/engine.h"
 #include "txn/epoch.h"
-#include "txn/group_commit.h"
 
 namespace gea::txn {
 namespace {
@@ -44,7 +44,7 @@ rel::Table TransactionStatTable() {
   add("epoch.pinned_readers", static_cast<uint64_t>(std::max<int64_t>(0, pinned)));
   add("epoch.published", epochs_published);
   add("epoch.retired_bytes", retired_bytes);
-  add("commit.queue_depth", LiveCommitterQueueDepth());
+  add("commit.queue_depth", store::LiveCommitQueueDepth());
 
   // The gea.txn.* registry metrics: cumulative counters plus the batch
   // size and fsync-amortization histograms.

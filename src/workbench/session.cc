@@ -939,13 +939,12 @@ void AnalysisSession::SetDeferredCommits(bool deferred) {
   deferred_commits_ = deferred;
 }
 
-std::shared_ptr<txn::CommitTicket> AnalysisSession::TakePendingCommit() {
+std::shared_ptr<store::CommitTicket> AnalysisSession::TakePendingCommit() {
   return std::move(pending_commit_);
 }
 
 Status AnalysisSession::DrainCommits() {
-  if (committer_ == nullptr) return Status::OK();
-  return committer_->Drain();
+  return storage_ ? storage_->Drain() : Status::OK();
 }
 
 }  // namespace gea::workbench

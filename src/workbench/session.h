@@ -29,7 +29,6 @@
 #include "sage/dataset.h"
 #include "store/engine.h"
 #include "txn/epoch.h"
-#include "txn/group_commit.h"
 #include "txn/snapshot.h"
 #include "workbench/command.h"
 #include "workbench/users.h"
@@ -67,10 +66,10 @@ namespace gea::workbench {
 /// checkpoint or writer burst cannot block them. Superseded tables are
 /// reclaimed when the last pin referencing them drops.
 ///
-/// Durability is batched through a txn::GroupCommitter: WAL records from
-/// concurrent writers coalesce into one fsync. In the default mode every
-/// mutating call still waits for its record's batch before returning
-/// (ack == durable, exactly the old contract). The serve layer switches
+/// Durability is batched by the storage engine's group commit: WAL
+/// records from concurrent writers coalesce into one fsync. In the
+/// default mode every mutating call still waits for its record's batch
+/// before returning (ack == durable). The serve layer switches
 /// on deferred-commit mode, takes the op's CommitTicket via
 /// TakePendingCommit() while still holding the writer lock, and waits
 /// OUTSIDE the lock — which is what lets concurrent writers' fsyncs
@@ -144,8 +143,8 @@ class AnalysisSession {
   /// crash recovery: the latest valid snapshot is restored, the WAL tail
   /// is replayed through the normal operators, and any torn trailing
   /// record is truncated. From then on every mutating operation is
-  /// WAL-logged (and fsynced, per `options`) before it is acknowledged,
-  /// so an acked operation survives a crash. `env` defaults to the POSIX
+  /// WAL-logged and fsynced before it is acknowledged, so an acked
+  /// operation survives a crash. `env` defaults to the POSIX
   /// file system; tests pass a store::FaultInjectionEnv here.
   Status OpenStorage(const std::string& directory,
                      store::StorageOptions options = {},
@@ -153,14 +152,16 @@ class AnalysisSession {
 
   bool StorageAttached() const { return storage_ != nullptr; }
 
-  /// Writes a full snapshot and rotates the WAL. Also runs automatically
-  /// every `StorageOptions::checkpoint_every_records` appends.
+  /// Commits every submitted record, writes a full snapshot and rotates
+  /// the WAL. Also runs automatically every
+  /// `StorageOptions::checkpoint_every_records` appends.
   Status Checkpoint();
 
   /// What recovery found and did when storage was last attached.
   Result<store::RecoverySummary> StorageRecovery() const;
 
-  /// Final sync, then detaches. The directory remains openable.
+  /// Commits every submitted record, then detaches. The directory
+  /// remains openable.
   Status CloseStorage();
 
   // ---- Replication hooks (consumed by src/dist) ----
@@ -228,7 +229,7 @@ class AnalysisSession {
   // ---- Group-commit control (consumed by the serve layer) ----
 
   /// In deferred mode a mutating operation submits its WAL record to the
-  /// group committer and returns WITHOUT waiting; the caller must take
+  /// storage engine and returns WITHOUT waiting; the caller must take
   /// the ticket (TakePendingCommit) and Wait() on it before acking the
   /// client. Off (the default), operations wait inline — ack == durable,
   /// the classic contract, for direct library callers.
@@ -237,12 +238,14 @@ class AnalysisSession {
   /// The not-yet-awaited ticket of the last deferred mutating operation,
   /// or nullptr. Call while still holding the writer lock; Wait() on it
   /// after releasing, so concurrent writers' fsyncs batch.
-  std::shared_ptr<txn::CommitTicket> TakePendingCommit();
+  std::shared_ptr<store::CommitTicket> TakePendingCommit();
 
   /// Commits every record submitted so far (leads the batch if
-  /// necessary) and returns the committer's error, if any. Thread-safe:
-  /// it touches no writer state, so a reader holding the shared session
-  /// lock may call it (replication's snapshot export does).
+  /// necessary) and returns the engine's sticky error, if any. Only
+  /// deferred mode leaves records to flush: Checkpoint and CloseStorage
+  /// commit them themselves. Thread-safe: it touches no writer state, so
+  /// a reader holding the shared session lock may call it (replication's
+  /// snapshot export does).
   Status DrainCommits();
 
   // ---- Data sets (Figs. 4.4 and 4.15) ----
@@ -522,7 +525,7 @@ class AnalysisSession {
   /// re-derived.
   Status WalDataSet(txn::CatalogSnapshot next);
   /// Common WAL tail for WalOp/WalDataSet: submits the record to the
-  /// group committer, waits inline (or stashes the ticket when deferred
+  /// storage engine, waits inline (or stashes the ticket when deferred
   /// commits are on), and applies the automatic checkpoint policy.
   Status CommitWalRecord(store::WalRecord record);
   /// Re-executes one WAL record: the data-set blob through LoadDataSet,
@@ -554,10 +557,8 @@ class AnalysisSession {
   bool applying_replication_ = false;
   WalObserver wal_observer_;
 
-  /// Group-commit WAL committer; live exactly while storage_ is attached.
-  std::unique_ptr<txn::GroupCommitter> committer_;
   bool deferred_commits_ = false;
-  std::shared_ptr<txn::CommitTicket> pending_commit_;
+  std::shared_ptr<store::CommitTicket> pending_commit_;
 
   /// The published catalog epochs (unique_ptr keeps the session
   /// movable).

@@ -219,10 +219,9 @@ Status AnalysisSession::OpenStorage(const std::string& directory,
   GEA_RETURN_IF_ERROR(replayed);
 
   storage_ = std::move(opened.engine);
-  committer_ = std::make_unique<txn::GroupCommitter>(storage_.get());
   // The observer is read at fire time (on the batch-leader thread), so a
   // subscriber attached after OpenStorage still sees every later commit.
-  committer_->set_durable_callback(
+  storage_->set_durable_callback(
       [this](uint64_t lsn, const store::WalRecord& record) {
         if (wal_observer_) wal_observer_(lsn, record);
       });
@@ -239,9 +238,6 @@ Status AnalysisSession::Checkpoint() {
     return Status::FailedPrecondition("no storage directory is attached");
   }
   return Logged("checkpoint", storage_->directory(), [&]() -> Status {
-    // The checkpoint rotates the WAL under the engine; an in-flight
-    // commit batch must land (and be acked) first.
-    GEA_RETURN_IF_ERROR(DrainCommits());
     return storage_->Checkpoint(BuildSnapshotImage(*PinSnapshot()));
   });
 }
@@ -255,11 +251,9 @@ Result<store::RecoverySummary> AnalysisSession::StorageRecovery() const {
 
 Status AnalysisSession::CloseStorage() {
   if (!storage_) return Status::OK();
-  Status drained = DrainCommits();
-  committer_.reset();
   Status s = storage_->Close();
   storage_.reset();
-  return drained.ok() ? s : drained;
+  return s;
 }
 
 // ---- WAL append + replay ----
@@ -286,8 +280,8 @@ Status AnalysisSession::WalDataSet(txn::CatalogSnapshot next) {
 }
 
 Status AnalysisSession::CommitWalRecord(store::WalRecord record) {
-  std::shared_ptr<txn::CommitTicket> ticket =
-      committer_->Submit(std::move(record));
+  std::shared_ptr<store::CommitTicket> ticket =
+      storage_->Submit(std::move(record));
   if (deferred_commits_) {
     // The serving layer collects the ticket (TakePendingCommit) inside
     // the writer lock and waits on it after releasing the lock, so
@@ -300,7 +294,6 @@ Status AnalysisSession::CommitWalRecord(store::WalRecord record) {
     GEA_RETURN_IF_ERROR(ticket->Wait());
   }
   if (storage_->CheckpointDue()) {
-    GEA_RETURN_IF_ERROR(DrainCommits());
     return storage_->Checkpoint(BuildSnapshotImage(*PinSnapshot()));
   }
   return Status::OK();
@@ -521,9 +514,6 @@ Status AnalysisSession::LoadDatabase(const std::string& directory) {
   // and any WAL shipper is told its followers must re-seed from a
   // snapshot — no stream of records reproduces this transition.
   if (storage_ != nullptr && !replaying_wal_) {
-    // Flush any in-flight group commits before the checkpoint rotates
-    // the WAL underneath them.
-    GEA_RETURN_IF_ERROR(DrainCommits());
     GEA_RETURN_IF_ERROR(
         storage_->Checkpoint(BuildSnapshotImage(*PinSnapshot())));
     if (wal_observer_) {

@@ -28,7 +28,6 @@
 #include "serve/server.h"
 #include "store/format.h"
 #include "store/wal.h"
-#include "txn/group_commit.h"
 #include "workbench/session.h"
 
 namespace gea::dist {
@@ -252,7 +251,7 @@ TEST(ReplicationHubTest, SnapshotShipsOnlyCommittedWrites) {
     return session->TakePendingCommit();
   };
 
-  std::shared_ptr<txn::CommitTicket> committed = deferred_write("Committed");
+  std::shared_ptr<store::CommitTicket> committed = deferred_write("Committed");
   ASSERT_NE(committed, nullptr);
   Result<Response> shipped = admin.Call("repl_snapshot");
   ASSERT_TRUE(shipped.ok());
@@ -266,7 +265,7 @@ TEST(ReplicationHubTest, SnapshotShipsOnlyCommittedWrites) {
   // The next commit's fsync fails: its append is fault point 0, the sync
   // point 1.
   env.ArmFault(1, store::FaultInjectionEnv::FaultKind::kFailSync);
-  std::shared_ptr<txn::CommitTicket> doomed = deferred_write("Doomed");
+  std::shared_ptr<store::CommitTicket> doomed = deferred_write("Doomed");
   ASSERT_NE(doomed, nullptr);
   Result<Response> refused = admin.Call("repl_snapshot");
   ASSERT_TRUE(refused.ok());

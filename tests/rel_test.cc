@@ -5,6 +5,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "rel/catalog.h"
 #include "rel/expr.h"
@@ -143,6 +148,231 @@ TEST(SelectTest, UnknownColumnFailsAtBind) {
   EXPECT_TRUE(Select(t, Compare("bogus", CompareOp::kEq, Value::Int(1)), "x")
                   .status()
                   .IsNotFound());
+}
+
+// ---------- Row oracle for every predicate ----------
+//
+// Select runs only the columnar kernels. These tests hold them to the row
+// semantics spelled with Value::Compare: a comparison is false when
+// either side is NULL; Between needs a non-null cell with Compare(lo) >= 0
+// and Compare(hi) <= 0, so a NULL lo admits every cell and a NULL hi
+// none; NaN compares equal to everything numeric; numbers sort before
+// strings; And/Or/Not/True combine the row verdicts.
+
+using RowOracle = std::function<bool(const Row&)>;
+
+bool Holds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
+constexpr CompareOp kAllOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                 CompareOp::kLt, CompareOp::kLe,
+                                 CompareOp::kGt, CompareOp::kGe};
+
+// Column 0 is a row id; the rest are the cells under test.
+const std::vector<std::string>& OracleColumns() {
+  static const std::vector<std::string> names = {"id", "i", "d",
+                                                 "s",  "j", "e"};
+  return names;
+}
+constexpr size_t kIntCol = 1, kDoubleCol = 2, kStringCol = 3;
+
+Table OracleTable() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value null = Value::Null();
+  const std::vector<Row> cells = {
+      {Value::Int(1), Value::Double(1.0), Value::String("a"), Value::Int(2),
+       Value::Double(1.0)},
+      {Value::Int(2), Value::Double(2.5), Value::String("b"), Value::Int(2),
+       Value::Double(nan)},
+      {null, Value::Double(nan), null, Value::Int(1), Value::Double(2.0)},
+      {Value::Int(-5), null, Value::String(""), null, Value::Double(3.0)},
+      {Value::Int(2), Value::Double(-0.0), Value::String("bb"), Value::Int(0),
+       null},
+      {Value::Int(7), Value::Double(2.0), Value::String("a"), Value::Int(7),
+       Value::Double(7.0)},
+      {Value::Int(0), Value::Double(1e300), Value::String("\xc3\xa9"),
+       Value::Int(3), Value::Double(2.0)},
+      {null, Value::Double(3.0), Value::String("B"), Value::Int(4),
+       Value::Double(nan)},
+      {Value::Int(3), null, Value::String("b"), null, Value::Double(1.5)},
+  };
+  Table t("cells", Schema({{"id", ValueType::kInt},
+                           {"i", ValueType::kInt},
+                           {"d", ValueType::kDouble},
+                           {"s", ValueType::kString},
+                           {"j", ValueType::kInt},
+                           {"e", ValueType::kDouble}}));
+  for (size_t r = 0; r < cells.size(); ++r) {
+    Row row = {Value::Int(static_cast<int64_t>(r))};
+    row.insert(row.end(), cells[r].begin(), cells[r].end());
+    t.AppendRowUnchecked(std::move(row));
+  }
+  return t;
+}
+
+std::vector<Value> OracleLiterals() {
+  return {Value::Int(2),       Value::Int(-5),
+          Value::Double(2.0),  Value::Double(2.5),
+          Value::Double(std::numeric_limits<double>::quiet_NaN()),
+          Value::Null(),       Value::String("b"),
+          Value::String("")};
+}
+
+// Select must keep exactly the rows, in order, that `oracle` keeps.
+void ExpectSelectMatchesOracle(const Table& table, const PredicatePtr& pred,
+                               const RowOracle& oracle) {
+  const std::string label = pred->ToString();
+  Result<Table> out = Select(table, pred, "out");
+  ASSERT_TRUE(out.ok()) << label << ": " << out.status().ToString();
+  std::vector<int64_t> kept;
+  for (size_t r = 0; r < out->NumRows(); ++r) {
+    kept.push_back(out->GetRow(r)[0].AsInt());
+  }
+  std::vector<int64_t> expected;
+  for (size_t r = 0; r < table.NumRows(); ++r) {
+    const Row row = table.GetRow(r);
+    if (oracle(row)) expected.push_back(row[0].AsInt());
+  }
+  EXPECT_EQ(kept, expected) << label;
+}
+
+TEST(PredicateOracleTest, CompareEveryOpAgainstEveryLiteral) {
+  const Table t = OracleTable();
+  for (size_t col : {kIntCol, kDoubleCol, kStringCol}) {
+    for (CompareOp op : kAllOps) {
+      for (const Value& lit : OracleLiterals()) {
+        ExpectSelectMatchesOracle(
+            t, Compare(OracleColumns()[col], op, lit), [&](const Row& row) {
+              const Value& v = row[col];
+              return !v.is_null() && !lit.is_null() &&
+                     Holds(op, v.Compare(lit));
+            });
+      }
+    }
+  }
+}
+
+TEST(PredicateOracleTest, CompareColumnsAcrossTypes) {
+  const Table t = OracleTable();
+  const std::pair<size_t, size_t> pairs[] = {
+      {1, 4}, {2, 5}, {1, 5}, {4, 2}, {2, 3}, {3, 1}, {3, 3}, {5, 5}};
+  for (const auto& [lhs, rhs] : pairs) {
+    for (CompareOp op : kAllOps) {
+      ExpectSelectMatchesOracle(
+          t,
+          CompareColumns(OracleColumns()[lhs], op, OracleColumns()[rhs]),
+          [&](const Row& row) {
+            const Value& a = row[lhs];
+            const Value& b = row[rhs];
+            return !a.is_null() && !b.is_null() && Holds(op, a.Compare(b));
+          });
+    }
+  }
+}
+
+TEST(PredicateOracleTest, NullTests) {
+  const Table t = OracleTable();
+  for (size_t col = 1; col < OracleColumns().size(); ++col) {
+    ExpectSelectMatchesOracle(t, IsNull(OracleColumns()[col]),
+                              [&](const Row& row) {
+                                return row[col].is_null();
+                              });
+    ExpectSelectMatchesOracle(t, IsNotNull(OracleColumns()[col]),
+                              [&](const Row& row) {
+                                return !row[col].is_null();
+                              });
+  }
+}
+
+TEST(PredicateOracleTest, BetweenEveryPairOfBounds) {
+  const Table t = OracleTable();
+  for (size_t col : {kIntCol, kDoubleCol, kStringCol}) {
+    for (const Value& lo : OracleLiterals()) {
+      for (const Value& hi : OracleLiterals()) {
+        ExpectSelectMatchesOracle(
+            t, Between(OracleColumns()[col], lo, hi), [&](const Row& row) {
+              const Value& v = row[col];
+              return !v.is_null() && v.Compare(lo) >= 0 &&
+                     v.Compare(hi) <= 0;
+            });
+      }
+    }
+  }
+}
+
+TEST(PredicateOracleTest, CombinatorsOverEveryLeafPair) {
+  const Table t = OracleTable();
+  struct Leaf {
+    std::function<PredicatePtr()> make;
+    RowOracle oracle;
+  };
+  auto compare_leaf = [](size_t col, CompareOp op, Value lit) {
+    return Leaf{[=] { return Compare(OracleColumns()[col], op, lit); },
+                [=](const Row& row) {
+                  return !row[col].is_null() && !lit.is_null() &&
+                         Holds(op, row[col].Compare(lit));
+                }};
+  };
+  const std::vector<Leaf> leaves = {
+      compare_leaf(kIntCol, CompareOp::kGe, Value::Int(2)),
+      compare_leaf(kDoubleCol, CompareOp::kLt, Value::Int(3)),
+      compare_leaf(kStringCol, CompareOp::kNe, Value::String("b")),
+      compare_leaf(kDoubleCol, CompareOp::kEq, Value::Null()),
+      {[] { return IsNull("s"); },
+       [](const Row& row) { return row[kStringCol].is_null(); }},
+      {[] { return Between("e", Value::Double(1.0), Value::Int(2)); },
+       [](const Row& row) {
+         const Value& v = row[5];
+         return !v.is_null() && v.Compare(Value::Double(1.0)) >= 0 &&
+                v.Compare(Value::Int(2)) <= 0;
+       }},
+  };
+  for (const Leaf& a : leaves) {
+    ExpectSelectMatchesOracle(t, Not(a.make()),
+                              [&](const Row& row) { return !a.oracle(row); });
+    for (const Leaf& b : leaves) {
+      std::vector<PredicatePtr> both;
+      both.push_back(a.make());
+      both.push_back(b.make());
+      ExpectSelectMatchesOracle(t, And(std::move(both)), [&](const Row& row) {
+        return a.oracle(row) && b.oracle(row);
+      });
+      std::vector<PredicatePtr> either;
+      either.push_back(a.make());
+      either.push_back(b.make());
+      ExpectSelectMatchesOracle(t, Or(std::move(either)), [&](const Row& row) {
+        return a.oracle(row) || b.oracle(row);
+      });
+      std::vector<PredicatePtr> nested;
+      std::vector<PredicatePtr> inner;
+      inner.push_back(a.make());
+      inner.push_back(Not(b.make()));
+      nested.push_back(Or(std::move(inner)));
+      nested.push_back(True());
+      ExpectSelectMatchesOracle(t, And(std::move(nested)), [&](const Row& row) {
+        return a.oracle(row) || !b.oracle(row);
+      });
+    }
+  }
+  ExpectSelectMatchesOracle(t, True(), [](const Row&) { return true; });
+  ExpectSelectMatchesOracle(t, Not(True()), [](const Row&) { return false; });
+  ExpectSelectMatchesOracle(t, And({}), [](const Row&) { return true; });
+  ExpectSelectMatchesOracle(t, Or({}), [](const Row&) { return false; });
 }
 
 // ---------- Project / Distinct / Rename / Sort / Limit ----------

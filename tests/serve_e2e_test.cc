@@ -420,6 +420,74 @@ TEST(ServeE2eTest, TracedRunExportsValidChromeTrace) {
   }
 }
 
+// Every served write records its commit, whether its thread led the
+// group-commit batch or waited on another thread's: a follower's wait is
+// a wal_fsync span too, so each write's record holds one and the Chrome
+// export draws a WAL flow for it.
+TEST(ServeE2eTest, EveryCommittedWriteRecordsItsCommitSpans) {
+  obs::RequestTraceRing::Global().Clear();
+  obs::ScopedTraceSample sample(1);
+
+  const std::string dir = FreshDir("commit_spans");
+  auto session = AdminSession();
+  ASSERT_TRUE(session->OpenStorage(dir).ok());
+  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
+
+  ServerOptions options;
+  options.num_workers = 8;
+  QueryServer server(session.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 8;
+  constexpr int kWrites = 20;
+  std::atomic<int> acked{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      QueryClient client;
+      if (!client.Connect(server.Port()).ok()) return;
+      client.SetTracing(true);
+      if (!client.Login("admin", "secret", "admin").ok()) return;
+      for (int i = 0; i < kWrites; ++i) {
+        Result<Response> agg =
+            client.Call("aggregate", {{"enum", "brain"},
+                                      {"out", "Commit_" + std::to_string(t)},
+                                      {"replace", "1"}});
+        if (agg.ok() && agg->ok()) acked.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  server.Stop();
+  ASSERT_EQ(acked.load(), kClients * kWrites);
+
+  size_t writes = 0;
+  for (const obs::RequestTraceRecord& record :
+       obs::RequestTraceRing::Global().Snapshot()) {
+    if (record.op != "aggregate") continue;
+    ++writes;
+    const bool has_fsync =
+        std::any_of(record.spans.begin(), record.spans.end(),
+                    [](const obs::SpanRecord& span) {
+                      return span.name == "wal_fsync";
+                    });
+    EXPECT_TRUE(has_fsync) << "trace " << record.trace_id;
+  }
+  EXPECT_EQ(writes, static_cast<size_t>(kClients * kWrites));
+
+  obs::internal::HttpResponse chrome =
+      obs::internal::HandlePath("/tracez", "format=chrome");
+  ASSERT_EQ(chrome.status, 200);
+  const std::string flow = "\"ph\":\"s\",\"cat\":\"wal\"";
+  size_t flows = 0;
+  for (size_t at = chrome.body.find(flow); at != std::string::npos;
+       at = chrome.body.find(flow, at + 1)) {
+    ++flows;
+  }
+  EXPECT_GE(flows, writes);
+}
+
 // The contention/accounting numbers must agree wherever they surface:
 // the v3 wire timing block, the request trace ring (and its Chrome
 // export), the gea_stat_requests rollup, and the slow-query log line —

@@ -1,13 +1,22 @@
 // Tests for the durable storage engine: the binary table codec, the
 // snapshot format, the WAL framing and torn-tail handling, generation
-// rotation in StorageEngine, and the fault-injection FileEnv.
+// rotation in StorageEngine, its group commit (leader-follower handoff,
+// LSN-ordered durable callbacks, the batch crash contract, and what
+// Checkpoint and Close commit first), and the fault-injection FileEnv.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/crc32.h"
 #include "obs/statviews.h"
@@ -212,6 +221,13 @@ WalRecord SampleOp(int i) {
       "populate", {{"sumy", "s" + std::to_string(i)}, {"out", "o"}});
 }
 
+WalRecord Op(const std::string& name) { return WalRecord::LogicalOp(name, {}); }
+
+/// Submits one record and waits for its commit.
+Status Commit(StorageEngine& engine, WalRecord record) {
+  return engine.Submit(std::move(record))->Wait();
+}
+
 TEST(WalTest, WriteReadRoundTrip) {
   std::string dir = FreshDir("wal_rt");
   FileEnv* env = FileEnv::Default();
@@ -219,11 +235,13 @@ TEST(WalTest, WriteReadRoundTrip) {
   std::string path = dir + "/wal-0.log";
 
   Result<std::unique_ptr<WalWriter>> writer =
-      WalWriter::Open(env, path, /*truncate=*/true, /*sync_every_record=*/true);
+      WalWriter::Open(env, path, /*truncate=*/true);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  ASSERT_TRUE((*writer)->Append(SampleOp(0)).ok());
-  ASSERT_TRUE((*writer)->Append(WalRecord::BlobRecord("load_dataset",
-                                                      "blob\0bytes")).ok());
+  ASSERT_TRUE((*writer)->Append({SampleOp(0)}).ok());
+  ASSERT_TRUE(
+      (*writer)
+          ->Append({WalRecord::BlobRecord("load_dataset", "blob\0bytes")})
+          .ok());
   EXPECT_EQ((*writer)->records(), 2u);
   ASSERT_TRUE((*writer)->Close().ok());
 
@@ -239,10 +257,9 @@ TEST(WalTest, WriteReadRoundTrip) {
   EXPECT_EQ(read->records[1].op, "load_dataset");
 
   // Reopening for append keeps the old records.
-  writer = WalWriter::Open(env, path, /*truncate=*/false,
-                           /*sync_every_record=*/true);
+  writer = WalWriter::Open(env, path, /*truncate=*/false);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(SampleOp(2)).ok());
+  ASSERT_TRUE((*writer)->Append({SampleOp(2)}).ok());
   ASSERT_TRUE((*writer)->Close().ok());
   read = ReadWalFile(env, path);
   ASSERT_TRUE(read.ok());
@@ -306,8 +323,8 @@ TEST(EngineTest, BootstrapAppendReopenReplaysRecords) {
   EXPECT_TRUE(open->records.empty());
   EXPECT_FALSE(open->summary.snapshot_loaded);
 
-  ASSERT_TRUE(open->engine->Append(SampleOp(0)).ok());
-  ASSERT_TRUE(open->engine->Append(SampleOp(1)).ok());
+  ASSERT_TRUE(Commit(*open->engine, SampleOp(0)).ok());
+  ASSERT_TRUE(Commit(*open->engine, SampleOp(1)).ok());
   ASSERT_TRUE(open->engine->Close().ok());
 
   open = StorageEngine::Open(env, dir, options);
@@ -328,7 +345,7 @@ TEST(EngineTest, CheckpointRotatesGenerationAndClearsWal) {
       StorageEngine::Open(env, dir, options);
   ASSERT_TRUE(open.ok());
   StorageEngine* engine = open->engine.get();
-  ASSERT_TRUE(engine->Append(SampleOp(0)).ok());
+  ASSERT_TRUE(Commit(*engine, SampleOp(0)).ok());
 
   ASSERT_TRUE(engine->Checkpoint(SampleImage()).ok());
   EXPECT_EQ(engine->generation(), 1u);
@@ -338,7 +355,7 @@ TEST(EngineTest, CheckpointRotatesGenerationAndClearsWal) {
   EXPECT_FALSE(env->FileExists(engine->WalPath(0)));
 
   // Records after the checkpoint land in the new WAL.
-  ASSERT_TRUE(engine->Append(SampleOp(7)).ok());
+  ASSERT_TRUE(Commit(*engine, SampleOp(7)).ok());
   ASSERT_TRUE(engine->Close().ok());
 
   open = StorageEngine::Open(env, dir, options);
@@ -361,7 +378,7 @@ TEST(EngineTest, AutomaticCheckpointThreshold) {
   ASSERT_TRUE(open.ok());
   StorageEngine* engine = open->engine.get();
   EXPECT_FALSE(engine->CheckpointDue());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine->Append(SampleOp(i)).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(Commit(*engine, SampleOp(i)).ok());
   EXPECT_TRUE(engine->CheckpointDue());
   ASSERT_TRUE(engine->Checkpoint(SampleImage()).ok());
   EXPECT_FALSE(engine->CheckpointDue());
@@ -375,9 +392,9 @@ TEST(EngineTest, MissingCurrentFallsBackToSnapshotScan) {
     Result<StorageEngine::OpenResult> open =
         StorageEngine::Open(env, dir, options);
     ASSERT_TRUE(open.ok());
-    ASSERT_TRUE(open->engine->Append(SampleOp(0)).ok());
+    ASSERT_TRUE(Commit(*open->engine, SampleOp(0)).ok());
     ASSERT_TRUE(open->engine->Checkpoint(SampleImage()).ok());
-    ASSERT_TRUE(open->engine->Append(SampleOp(1)).ok());
+    ASSERT_TRUE(Commit(*open->engine, SampleOp(1)).ok());
     ASSERT_TRUE(open->engine->Close().ok());
   }
   ASSERT_TRUE(env->RemoveFile(dir + "/CURRENT").ok());
@@ -400,7 +417,7 @@ TEST(EngineTest, TornWalTailIsTruncatedOnDisk) {
     Result<StorageEngine::OpenResult> open =
         StorageEngine::Open(env, dir, options);
     ASSERT_TRUE(open.ok());
-    ASSERT_TRUE(open->engine->Append(SampleOp(0)).ok());
+    ASSERT_TRUE(Commit(*open->engine, SampleOp(0)).ok());
     ASSERT_TRUE(open->engine->Close().ok());
   }
   std::string wal_path = dir + "/wal-0.log";
@@ -433,6 +450,243 @@ TEST(EngineTest, StaleTmpFilesAreSweptOnOpen) {
       StorageEngine::Open(env, dir, options);
   ASSERT_TRUE(open.ok());
   EXPECT_FALSE(env->FileExists(dir + "/snap-9.gea.tmp"));
+}
+
+// ---------- group commit ----------
+
+TEST(GroupCommitTest, SingleWriterCommitsDurably) {
+  const std::string dir = FreshDir("gc_single");
+  auto opened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StorageEngine> engine = std::move(opened->engine);
+
+  std::vector<uint64_t> acked;
+  engine->set_durable_callback(
+      [&](uint64_t lsn, const WalRecord&) { acked.push_back(lsn); });
+
+  std::shared_ptr<CommitTicket> ticket = engine->Submit(Op("alpha"));
+  EXPECT_EQ(ticket->lsn(), 1u);
+  ASSERT_TRUE(ticket->Wait().ok());
+  EXPECT_TRUE(ticket->Wait().ok());  // idempotent
+  EXPECT_EQ(engine->last_lsn(), 1u);
+  EXPECT_EQ(acked, std::vector<uint64_t>({1}));
+  EXPECT_EQ(engine->QueueDepth(), 0u);
+  ASSERT_TRUE(engine->Close().ok());
+
+  auto reopened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_EQ(reopened->records.size(), 1u);
+  EXPECT_EQ(reopened->records[0].op, "alpha");
+}
+
+TEST(GroupCommitTest, ConcurrentWritersCoalesceAndAckInLsnOrder) {
+  const std::string dir = FreshDir("gc_coalesce");
+  auto opened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StorageEngine> engine = std::move(opened->engine);
+
+  std::mutex acked_mu;
+  std::vector<uint64_t> acked;
+  engine->set_durable_callback([&](uint64_t lsn, const WalRecord&) {
+    std::lock_guard<std::mutex> lock(acked_mu);
+    acked.push_back(lsn);
+  });
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        std::shared_ptr<CommitTicket> ticket = engine->Submit(
+            Op("w" + std::to_string(t) + "_" + std::to_string(i)));
+        if (!ticket->Wait().ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  constexpr uint64_t kTotal = kThreads * kPerThread;
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine->last_lsn(), kTotal);
+  // The durable callback saw every record exactly once, in LSN order —
+  // batching must not reorder or drop replication shipping.
+  ASSERT_EQ(acked.size(), kTotal);
+  for (uint64_t i = 0; i < kTotal; ++i) {
+    EXPECT_EQ(acked[i], i + 1);
+  }
+  ASSERT_TRUE(engine->Close().ok());
+
+  auto reopened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened->records.size(), kTotal);
+}
+
+TEST(GroupCommitTest, KillBetweenBatchWriteAndFsyncAcksNothing) {
+  const std::string dir = FreshDir("gc_kill");
+  FaultInjectionEnv env(FileEnv::Default());
+  auto opened = StorageEngine::Open(&env, dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StorageEngine> engine = std::move(opened->engine);
+
+  std::vector<uint64_t> acked;
+  engine->set_durable_callback(
+      [&](uint64_t lsn, const WalRecord&) { acked.push_back(lsn); });
+
+  // Batch 1 commits cleanly.
+  std::shared_ptr<CommitTicket> alpha = engine->Submit(Op("alpha"));
+  ASSERT_TRUE(alpha->Wait().ok());
+  ASSERT_EQ(acked, std::vector<uint64_t>({1}));
+
+  // Batch 2 = two appends + one shared fsync. Kill the fsync: the batch
+  // is written into the page cache but never reaches the platter.
+  // ArmFault zeroes the point counter, so the appends are points 0 and 1
+  // and the shared fsync is point 2.
+  env.ArmFault(2, FaultInjectionEnv::FaultKind::kKill);
+  std::shared_ptr<CommitTicket> beta = engine->Submit(Op("beta"));
+  std::shared_ptr<CommitTicket> gamma = engine->Submit(Op("gamma"));
+  EXPECT_FALSE(engine->Drain().ok());
+
+  // Nothing in the torn batch is acknowledged: both waiters get the
+  // error, no frame was shipped, the engine's LSN never advanced.
+  EXPECT_FALSE(beta->Wait().ok());
+  EXPECT_FALSE(gamma->Wait().ok());
+  EXPECT_EQ(acked, std::vector<uint64_t>({1}));
+  EXPECT_EQ(engine->last_lsn(), 1u);
+
+  // The WAL tail is indeterminate, so the engine is sticky-failed.
+  std::shared_ptr<CommitTicket> delta = engine->Submit(Op("delta"));
+  EXPECT_FALSE(delta->Wait().ok());
+
+  (void)engine->Close();  // dead env; recovery decides what survived
+
+  // Recovery replays exactly the acked prefix.
+  auto reopened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(reopened->records.size(), 1u);
+  EXPECT_EQ(reopened->records[0].op, "alpha");
+  EXPECT_EQ(reopened->engine->last_lsn(), 1u);
+}
+
+TEST(GroupCommitTest, FailedSyncAcksNothingToo) {
+  const std::string dir = FreshDir("gc_failsync");
+  FaultInjectionEnv env(FileEnv::Default());
+  auto opened = StorageEngine::Open(&env, dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StorageEngine> engine = std::move(opened->engine);
+
+  std::vector<uint64_t> acked;
+  engine->set_durable_callback(
+      [&](uint64_t lsn, const WalRecord&) { acked.push_back(lsn); });
+
+  // ArmFault zeroes the point counter: the batch's single append is
+  // point 0, its fsync is point 1.
+  env.ArmFault(1, FaultInjectionEnv::FaultKind::kFailSync);
+  std::shared_ptr<CommitTicket> ticket = engine->Submit(Op("alpha"));
+  EXPECT_FALSE(ticket->Wait().ok());
+  EXPECT_TRUE(acked.empty());
+  EXPECT_EQ(engine->last_lsn(), 0u);
+  (void)engine->Close();
+
+  auto reopened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_TRUE(reopened->records.empty());
+}
+
+// Records submitted but never waited on are committed by the checkpoint,
+// before it rotates the log they belong in.
+TEST(GroupCommitTest, CheckpointCommitsSubmittedRecords) {
+  const std::string dir = FreshDir("gc_ckpt");
+  auto opened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StorageEngine> engine = std::move(opened->engine);
+
+  std::vector<uint64_t> acked;
+  engine->set_durable_callback(
+      [&](uint64_t lsn, const WalRecord&) { acked.push_back(lsn); });
+  std::vector<std::shared_ptr<CommitTicket>> tickets;
+  for (int i = 0; i < 3; ++i) tickets.push_back(engine->Submit(SampleOp(i)));
+  EXPECT_EQ(engine->QueueDepth(), 3u);
+  EXPECT_EQ(engine->last_lsn(), 0u);
+
+  ASSERT_TRUE(engine->Checkpoint(SampleImage()).ok());
+  EXPECT_EQ(engine->QueueDepth(), 0u);
+  EXPECT_EQ(acked, std::vector<uint64_t>({1, 2, 3}));
+  EXPECT_EQ(engine->last_lsn(), 3u);
+  EXPECT_EQ(engine->generation(), 1u);
+  for (const std::shared_ptr<CommitTicket>& ticket : tickets) {
+    EXPECT_TRUE(ticket->Wait().ok()) << ticket->lsn();
+  }
+
+  // The LSN survives the rotation: the next record continues the count.
+  std::shared_ptr<CommitTicket> next = engine->Submit(SampleOp(3));
+  EXPECT_EQ(next->lsn(), 4u);
+  ASSERT_TRUE(next->Wait().ok());
+  EXPECT_EQ(acked.back(), 4u);
+}
+
+TEST(GroupCommitTest, CloseCommitsSubmittedRecords) {
+  const std::string dir = FreshDir("gc_close");
+  auto opened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::shared_ptr<CommitTicket> first = opened->engine->Submit(SampleOp(0));
+  std::shared_ptr<CommitTicket> second = opened->engine->Submit(SampleOp(1));
+  ASSERT_TRUE(opened->engine->Close().ok());
+  EXPECT_TRUE(first->Wait().ok());
+  EXPECT_TRUE(second->Wait().ok());
+
+  auto reopened = StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(reopened->records.size(), 2u);
+  EXPECT_EQ(reopened->records[0].params.at("sumy"), "s0");
+  EXPECT_EQ(reopened->records[1].params.at("sumy"), "s1");
+  EXPECT_EQ(reopened->engine->last_lsn(), 2u);
+}
+
+// A ticket shares its queue with the engine, so it still answers after
+// the engine is gone: the engine's teardown committed it.
+TEST(GroupCommitTest, TicketOutlivesItsEngine) {
+  const std::string dir = FreshDir("gc_outlive");
+  FaultInjectionEnv env(FileEnv::Default());
+  auto opened = StorageEngine::Open(&env, dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::shared_ptr<CommitTicket> committed = opened->engine->Submit(Op("a"));
+  ASSERT_TRUE(committed->Wait().ok());
+  std::shared_ptr<CommitTicket> pending = opened->engine->Submit(Op("b"));
+  opened->engine.reset();
+  EXPECT_TRUE(committed->Wait().ok());
+  EXPECT_TRUE(pending->Wait().ok());
+
+  // A failed commit keeps its error past the engine too.
+  opened = StorageEngine::Open(&env, dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  env.ArmFault(1, FaultInjectionEnv::FaultKind::kFailSync);
+  std::shared_ptr<CommitTicket> failed = opened->engine->Submit(Op("c"));
+  opened->engine.reset();
+  EXPECT_FALSE(failed->Wait().ok());
+}
+
+// After a failed batch the log tail is indeterminate, so a checkpoint
+// must not write a snapshot that claims the failed records.
+TEST(GroupCommitTest, CheckpointAfterFailedBatchWritesNoSnapshot) {
+  const std::string dir = FreshDir("gc_ckpt_fail");
+  FaultInjectionEnv env(FileEnv::Default());
+  auto opened = StorageEngine::Open(&env, dir, {});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<StorageEngine> engine = std::move(opened->engine);
+  ASSERT_TRUE(Commit(*engine, SampleOp(0)).ok());
+
+  env.ArmFault(1, FaultInjectionEnv::FaultKind::kFailSync);
+  std::shared_ptr<CommitTicket> doomed = engine->Submit(SampleOp(1));
+  Status checkpointed = engine->Checkpoint(SampleImage());
+  EXPECT_FALSE(checkpointed.ok());
+  EXPECT_FALSE(doomed->Wait().ok());
+  EXPECT_EQ(checkpointed.ToString(), doomed->Wait().ToString());
+  EXPECT_EQ(engine->generation(), 0u);
+  EXPECT_FALSE(FileEnv::Default()->FileExists(engine->SnapshotPath(1)));
+  EXPECT_FALSE(engine->Checkpoint(SampleImage()).ok());  // still refused
+  EXPECT_FALSE(FileEnv::Default()->FileExists(engine->SnapshotPath(1)));
 }
 
 // ---------- fault-injection env ----------
@@ -510,7 +764,7 @@ TEST(FaultEnvTest, EngineRunsCleanlyThroughFaultEnvWhenDisarmed) {
   Result<StorageEngine::OpenResult> open =
       StorageEngine::Open(&env, dir, options);
   ASSERT_TRUE(open.ok()) << open.status().ToString();
-  ASSERT_TRUE(open->engine->Append(SampleOp(0)).ok());
+  ASSERT_TRUE(Commit(*open->engine, SampleOp(0)).ok());
   ASSERT_TRUE(open->engine->Checkpoint(SampleImage()).ok());
   ASSERT_TRUE(open->engine->Close().ok());
   EXPECT_GT(env.FaultPointsSeen(), 5u);  // a real matrix to iterate over
@@ -532,7 +786,7 @@ TEST(StorageStatViewTest, ViewReportsLastRecovery) {
     Result<StorageEngine::OpenResult> open =
         StorageEngine::Open(FileEnv::Default(), dir, options);
     ASSERT_TRUE(open.ok());
-    ASSERT_TRUE(open->engine->Append(SampleOp(0)).ok());
+    ASSERT_TRUE(Commit(*open->engine, SampleOp(0)).ok());
     ASSERT_TRUE(open->engine->Close().ok());
   }
   Result<StorageEngine::OpenResult> open =

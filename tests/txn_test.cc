@@ -1,38 +1,23 @@
 // Tests for the transaction subsystem (src/txn): epoch pin/publish/
-// reclaim semantics under concurrency, group-commit leader-follower
-// handoff, LSN-ordered durable callbacks, and the batch crash contract
-// (a batch that dies between write and fsync acknowledges nothing)
-// driven through FaultInjectionEnv.
+// reclaim semantics under concurrency and the gea_stat_transactions view.
+// Group commit lives in the storage engine; store_test covers it.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "store/engine.h"
-#include "store/fault_env.h"
-#include "store/file_env.h"
-#include "store/wal.h"
 #include "txn/epoch.h"
-#include "txn/group_commit.h"
 #include "txn/snapshot.h"
 #include "workbench/session.h"
 
 namespace gea::txn {
 namespace {
-
-std::string FreshDir(const std::string& tag) {
-  std::string dir = testing::TempDir() + "/gea_txn_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 std::shared_ptr<const std::vector<double>> Meta(double value) {
   return std::make_shared<const std::vector<double>>(
@@ -165,162 +150,6 @@ TEST(EpochTest, ConcurrentPinAndPublishRace) {
   EXPECT_TRUE(consistent.load());
   EXPECT_EQ(mgr.CurrentEpoch(), static_cast<uint64_t>(kEpochs));
   EXPECT_EQ(mgr.PinnedReaders(), 0);
-}
-
-// ---------- group commit ----------
-
-store::WalRecord Op(const std::string& name) {
-  return store::WalRecord::LogicalOp(name, {});
-}
-
-TEST(GroupCommitTest, SingleWriterCommitsDurably) {
-  const std::string dir = FreshDir("single");
-  auto opened =
-      store::StorageEngine::Open(store::FileEnv::Default(), dir, {});
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  std::unique_ptr<store::StorageEngine> engine = std::move(opened->engine);
-
-  GroupCommitter committer(engine.get());
-  std::vector<uint64_t> acked;
-  committer.set_durable_callback(
-      [&](uint64_t lsn, const store::WalRecord&) { acked.push_back(lsn); });
-
-  std::shared_ptr<CommitTicket> ticket = committer.Submit(Op("alpha"));
-  EXPECT_EQ(ticket->lsn(), 1u);
-  ASSERT_TRUE(ticket->Wait().ok());
-  EXPECT_TRUE(ticket->Wait().ok());  // idempotent
-  EXPECT_EQ(engine->last_lsn(), 1u);
-  EXPECT_EQ(acked, std::vector<uint64_t>({1}));
-  EXPECT_EQ(committer.QueueDepth(), 0u);
-  ASSERT_TRUE(engine->Close().ok());
-
-  auto reopened =
-      store::StorageEngine::Open(store::FileEnv::Default(), dir, {});
-  ASSERT_TRUE(reopened.ok());
-  ASSERT_EQ(reopened->records.size(), 1u);
-  EXPECT_EQ(reopened->records[0].op, "alpha");
-}
-
-TEST(GroupCommitTest, ConcurrentWritersCoalesceAndAckInLsnOrder) {
-  const std::string dir = FreshDir("coalesce");
-  auto opened =
-      store::StorageEngine::Open(store::FileEnv::Default(), dir, {});
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  std::unique_ptr<store::StorageEngine> engine = std::move(opened->engine);
-
-  GroupCommitter committer(engine.get());
-  std::mutex acked_mu;
-  std::vector<uint64_t> acked;
-  committer.set_durable_callback([&](uint64_t lsn, const store::WalRecord&) {
-    std::lock_guard<std::mutex> lock(acked_mu);
-    acked.push_back(lsn);
-  });
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 25;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        std::shared_ptr<CommitTicket> ticket = committer.Submit(
-            Op("w" + std::to_string(t) + "_" + std::to_string(i)));
-        if (!ticket->Wait().ok()) failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-
-  constexpr uint64_t kTotal = kThreads * kPerThread;
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(engine->last_lsn(), kTotal);
-  // The durable callback saw every record exactly once, in LSN order —
-  // batching must not reorder or drop replication shipping.
-  ASSERT_EQ(acked.size(), kTotal);
-  for (uint64_t i = 0; i < kTotal; ++i) {
-    EXPECT_EQ(acked[i], i + 1);
-  }
-  ASSERT_TRUE(engine->Close().ok());
-
-  auto reopened =
-      store::StorageEngine::Open(store::FileEnv::Default(), dir, {});
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened->records.size(), kTotal);
-}
-
-TEST(GroupCommitTest, KillBetweenBatchWriteAndFsyncAcksNothing) {
-  const std::string dir = FreshDir("kill");
-  store::FaultInjectionEnv env(store::FileEnv::Default());
-  auto opened = store::StorageEngine::Open(&env, dir, {});
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  std::unique_ptr<store::StorageEngine> engine = std::move(opened->engine);
-
-  GroupCommitter committer(engine.get());
-  std::vector<uint64_t> acked;
-  committer.set_durable_callback(
-      [&](uint64_t lsn, const store::WalRecord&) { acked.push_back(lsn); });
-
-  // Batch 1 commits cleanly.
-  std::shared_ptr<CommitTicket> alpha = committer.Submit(Op("alpha"));
-  ASSERT_TRUE(alpha->Wait().ok());
-  ASSERT_EQ(acked, std::vector<uint64_t>({1}));
-
-  // Batch 2 = two appends + one shared fsync. Kill the fsync: the batch
-  // is written into the page cache but never reaches the platter.
-  // ArmFault zeroes the point counter, so the appends are points 0 and 1
-  // and the shared fsync is point 2.
-  env.ArmFault(2, store::FaultInjectionEnv::FaultKind::kKill);
-  std::shared_ptr<CommitTicket> beta = committer.Submit(Op("beta"));
-  std::shared_ptr<CommitTicket> gamma = committer.Submit(Op("gamma"));
-  EXPECT_FALSE(committer.Drain().ok());
-
-  // Nothing in the torn batch is acknowledged: both waiters get the
-  // error, no frame was shipped, the engine's LSN never advanced.
-  EXPECT_FALSE(beta->Wait().ok());
-  EXPECT_FALSE(gamma->Wait().ok());
-  EXPECT_EQ(acked, std::vector<uint64_t>({1}));
-  EXPECT_EQ(engine->last_lsn(), 1u);
-
-  // The WAL tail is indeterminate, so the committer is sticky-failed.
-  std::shared_ptr<CommitTicket> delta = committer.Submit(Op("delta"));
-  EXPECT_FALSE(delta->Wait().ok());
-
-  (void)engine->Close();  // dead env; recovery decides what survived
-
-  // Recovery replays exactly the acked prefix.
-  auto reopened =
-      store::StorageEngine::Open(store::FileEnv::Default(), dir, {});
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_EQ(reopened->records.size(), 1u);
-  EXPECT_EQ(reopened->records[0].op, "alpha");
-  EXPECT_EQ(reopened->engine->last_lsn(), 1u);
-}
-
-TEST(GroupCommitTest, FailedSyncAcksNothingToo) {
-  const std::string dir = FreshDir("failsync");
-  store::FaultInjectionEnv env(store::FileEnv::Default());
-  auto opened = store::StorageEngine::Open(&env, dir, {});
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  std::unique_ptr<store::StorageEngine> engine = std::move(opened->engine);
-
-  GroupCommitter committer(engine.get());
-  std::vector<uint64_t> acked;
-  committer.set_durable_callback(
-      [&](uint64_t lsn, const store::WalRecord&) { acked.push_back(lsn); });
-
-  // ArmFault zeroes the point counter: the batch's single append is
-  // point 0, its fsync is point 1.
-  env.ArmFault(1, store::FaultInjectionEnv::FaultKind::kFailSync);
-  std::shared_ptr<CommitTicket> ticket = committer.Submit(Op("alpha"));
-  EXPECT_FALSE(ticket->Wait().ok());
-  EXPECT_TRUE(acked.empty());
-  EXPECT_EQ(engine->last_lsn(), 0u);
-  (void)engine->Close();
-
-  auto reopened =
-      store::StorageEngine::Open(store::FileEnv::Default(), dir, {});
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_TRUE(reopened->records.empty());
 }
 
 }  // namespace

@@ -31,14 +31,14 @@ TEST(WalReaderTest, StreamsRecordsExactlyOnceInOrder) {
   const std::string path = FreshPath("stream");
   FileEnv* env = FileEnv::Default();
   Result<std::unique_ptr<WalWriter>> writer =
-      WalWriter::Open(env, path, /*truncate=*/true, /*sync_every_record=*/true);
+      WalWriter::Open(env, path, /*truncate=*/true);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
 
   Result<std::unique_ptr<WalReader>> reader = WalReader::Open(env, path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
 
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*writer)->Append(MakeRecord(i)).ok());
+    ASSERT_TRUE((*writer)->Append({MakeRecord(i)}).ok());
   }
   Result<WalReader::TailResult> first = (*reader)->Poll();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -52,7 +52,7 @@ TEST(WalReaderTest, StreamsRecordsExactlyOnceInOrder) {
 
   // The next poll starts where the last one stopped: nothing repeats.
   for (int i = 3; i < 5; ++i) {
-    ASSERT_TRUE((*writer)->Append(MakeRecord(i)).ok());
+    ASSERT_TRUE((*writer)->Append({MakeRecord(i)}).ok());
   }
   Result<WalReader::TailResult> second = (*reader)->Poll();
   ASSERT_TRUE(second.ok());
@@ -78,9 +78,9 @@ TEST(WalReaderTest, MissingFileIsAnEmptyLogUntilItAppears) {
   EXPECT_FALSE(empty->torn_tail);
 
   Result<std::unique_ptr<WalWriter>> writer =
-      WalWriter::Open(env, path, /*truncate=*/true, /*sync_every_record=*/true);
+      WalWriter::Open(env, path, /*truncate=*/true);
   ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->Append(MakeRecord(0)).ok());
+  ASSERT_TRUE((*writer)->Append({MakeRecord(0)}).ok());
   Result<WalReader::TailResult> found = (*reader)->Poll();
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found->records.size(), 1u);
@@ -176,11 +176,11 @@ TEST(WalReaderTest, TruncationAndRemovalUnderTheReaderFail) {
   const std::string path = FreshPath("shrink");
   FileEnv* env = FileEnv::Default();
   {
-    Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(
-        env, path, /*truncate=*/true, /*sync_every_record=*/true);
+    Result<std::unique_ptr<WalWriter>> writer =
+        WalWriter::Open(env, path, /*truncate=*/true);
     ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Append(MakeRecord(0)).ok());
-    ASSERT_TRUE((*writer)->Append(MakeRecord(1)).ok());
+    ASSERT_TRUE((*writer)->Append({MakeRecord(0)}).ok());
+    ASSERT_TRUE((*writer)->Append({MakeRecord(1)}).ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }
   Result<std::unique_ptr<WalReader>> reader = WalReader::Open(env, path);
