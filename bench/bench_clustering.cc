@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "common/text_plot.h"
@@ -20,9 +21,9 @@
 #include "cluster/kmeans.h"
 #include "cluster/metrics.h"
 #include "cluster/optics.h"
+#include "core/enum_table.h"
 #include "sage/cleaning.h"
 #include "sage/generator.h"
-#include "sage/matrix.h"
 
 namespace {
 
@@ -44,11 +45,12 @@ struct LabeledPoints {
 };
 
 LabeledPoints ToPoints(const sage::SageDataSet& data) {
-  sage::ExpressionMatrix matrix = sage::ExpressionMatrix::FromDataSet(data);
+  core::EnumTable table = core::EnumTable::FromDataSet("points", data);
   LabeledPoints out;
-  for (size_t col = 0; col < matrix.NumLibraries(); ++col) {
-    out.points.push_back(matrix.LibraryColumn(col));
-    const sage::LibraryMeta& lib = matrix.library(col);
+  for (size_t row = 0; row < table.NumLibraries(); ++row) {
+    std::span<const double> values = table.LibraryRow(row);
+    out.points.emplace_back(values.begin(), values.end());
+    const sage::LibraryMeta& lib = table.library(row);
     out.tissue_labels.push_back(static_cast<int>(lib.tissue));
     out.state_labels.push_back(
         static_cast<int>(lib.tissue) * 2 +

@@ -1,6 +1,8 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace gea {
@@ -61,6 +63,16 @@ std::string FormatDouble(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
   return buf;
+}
+
+std::string FormatDoubleExact(double value) {
+  char buf[32];
+  const bool integral = value == std::trunc(value) && std::fabs(value) < 1e15;
+  const std::to_chars_result result =
+      integral ? std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::fixed)
+               : std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, result.ptr);
 }
 
 std::string PadRight(std::string_view text, size_t width) {

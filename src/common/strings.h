@@ -25,6 +25,11 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// Formats `value` with `digits` digits after the decimal point.
 std::string FormatDouble(double value, int digits);
 
+/// Formats `value` as the shortest text that reads back as the same
+/// double. Integral values below 1e15 print as integers ("13", "300000"
+/// rather than "3e+05").
+std::string FormatDoubleExact(double value);
+
 /// Left- or right-pads `text` with spaces to `width` columns.
 std::string PadRight(std::string_view text, size_t width);
 std::string PadLeft(std::string_view text, size_t width);

@@ -10,7 +10,7 @@
 #include "common/result.h"
 #include "rel/table.h"
 #include "sage/dataset.h"
-#include "sage/matrix.h"
+#include "sage/library.h"
 #include "sage/tag_codec.h"
 
 namespace gea::core {

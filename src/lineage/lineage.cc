@@ -42,7 +42,9 @@ Result<LineageGraph::NodeId> LineageGraph::AddNode(
     }
   }
   Node node;
-  node.id = next_id_++;
+  // One past the largest id held, not a counter: a graph rebuilt from its
+  // Export() then numbers new nodes as the original does.
+  node.id = nodes_.empty() ? 1 : nodes_.rbegin()->first + 1;
   node.name = name;
   node.kind = kind;
   node.operation = operation;
@@ -244,7 +246,6 @@ Result<LineageGraph> LineageGraph::Import(const rel::Table& nodes,
       return Status::InvalidArgument("duplicate lineage node id: " +
                                      std::to_string(id));
     }
-    graph.next_id_ = std::max(graph.next_id_, id + 1);
   }
   for (size_t r2_ = 0; r2_ < params.NumRows(); ++r2_) {
     const rel::Row row = params.GetRow(r2_);

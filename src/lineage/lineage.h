@@ -113,7 +113,6 @@ class LineageGraph {
  private:
   std::map<NodeId, Node> nodes_;
   std::map<std::string, NodeId> by_name_;
-  NodeId next_id_ = 1;
 };
 
 }  // namespace gea::lineage

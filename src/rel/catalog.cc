@@ -14,7 +14,6 @@ Status Catalog::CreateTable(Table table, bool replace) {
       return Status::AlreadyExists("a table already exists: " + name);
     }
     computed_.erase(name);
-    computed_cache_.erase(name);
   }
   auto it = tables_.find(name);
   if (it != tables_.end()) {
@@ -40,7 +39,6 @@ Status Catalog::RegisterComputed(const std::string& name, TableBuilder builder,
     return Status::AlreadyExists("a table already exists: " + name);
   }
   tables_.erase(name);
-  computed_cache_.erase(name);
   computed_[name] = std::move(builder);
   return Status::OK();
 }
@@ -54,11 +52,9 @@ bool Catalog::IsComputed(const std::string& name) const {
 }
 
 Result<const Table*> Catalog::GetTable(const std::string& name) const {
-  auto computed = computed_.find(name);
-  if (computed != computed_.end()) {
-    std::unique_ptr<Table>& slot = computed_cache_[name];
-    slot = std::make_unique<Table>(computed->second());
-    return static_cast<const Table*>(slot.get());
+  if (computed_.count(name) > 0) {
+    return Status::FailedPrecondition(
+        "computed table has no stored copy: " + name);
   }
   auto it = tables_.find(name);
   if (it == tables_.end()) {
@@ -70,9 +66,6 @@ Result<const Table*> Catalog::GetTable(const std::string& name) const {
 Result<Table> Catalog::MaterializeTable(const std::string& name) const {
   auto computed = computed_.find(name);
   if (computed != computed_.end()) {
-    // Run the builder into a local — deliberately no computed_cache_
-    // write, so concurrent readers of the same view cannot race or see a
-    // borrowed pointer invalidated underneath them.
     return computed->second();
   }
   auto it = tables_.find(name);
@@ -95,7 +88,6 @@ Result<Table*> Catalog::GetMutableTable(const std::string& name) {
 
 Status Catalog::DropTable(const std::string& name) {
   if (computed_.erase(name) > 0) {
-    computed_cache_.erase(name);
     return Status::OK();
   }
   auto it = tables_.find(name);
@@ -109,7 +101,6 @@ Status Catalog::DropTable(const std::string& name) {
 void Catalog::Initialize() {
   tables_.clear();
   computed_.clear();
-  computed_cache_.clear();
 }
 
 Catalog Catalog::Clone() const {

@@ -20,9 +20,10 @@ namespace gea::rel {
 /// AlreadyExists unless `replace` is requested.
 ///
 /// Besides stored tables the catalog holds **computed tables**: read-only
-/// relations materialized from a builder function on every GetTable()
-/// call, the pg_stat_* idiom. The SQL layer resolves FROM through
-/// GetTable(), so a query over a computed table always sees live data.
+/// relations materialized from a builder function on every
+/// MaterializeTable() call, the pg_stat_* idiom. The SQL layer resolves
+/// FROM through MaterializeTable(), so a query over a computed table
+/// always sees live data.
 class Catalog {
  public:
   /// Builds one materialization of a computed table. Must return a table
@@ -41,8 +42,8 @@ class Catalog {
   /// expected to surface this to the user as the Figure 4.28 dialog).
   Status CreateTable(Table table, bool replace = false);
 
-  /// Registers a computed (view-style) table: GetTable(name) re-runs
-  /// `builder` and returns the fresh materialization. Fails with
+  /// Registers a computed (view-style) table: MaterializeTable(name)
+  /// re-runs `builder` and returns the fresh materialization. Fails with
   /// AlreadyExists when the name is taken by a stored or computed table
   /// and `replace` is false. Computed tables are read-only:
   /// GetMutableTable on one fails with FailedPrecondition.
@@ -54,20 +55,16 @@ class Catalog {
   /// True when `name` names a computed (read-only) table.
   bool IsComputed(const std::string& name) const;
 
-  /// Borrowed pointer. For stored tables: valid until the table is
-  /// dropped or replaced. For computed tables: the builder runs and the
-  /// result is cached per name, so the pointer is valid until the next
-  /// GetTable() of the same name (or drop). NOT safe for concurrent
-  /// callers reading the same computed table — use MaterializeTable()
-  /// from multi-threaded readers.
+  /// Borrowed pointer to a stored table, valid until the table is dropped
+  /// or replaced. A computed table has no stored copy to borrow:
+  /// FailedPrecondition; read it through MaterializeTable().
   Result<const Table*> GetTable(const std::string& name) const;
   Result<Table*> GetMutableTable(const std::string& name);
 
   /// A by-value materialization of `name`. Stored tables are copied;
-  /// computed tables run their builder without touching the shared cache,
-  /// so concurrent MaterializeTable() calls over the same view never
-  /// invalidate each other. The serve layer's read-only query path uses
-  /// this exclusively.
+  /// computed tables run their builder, so concurrent MaterializeTable()
+  /// calls over the same view share nothing. The serve layer's read-only
+  /// query path uses this exclusively.
   Result<Table> MaterializeTable(const std::string& name) const;
 
   Status DropTable(const std::string& name);
@@ -80,9 +77,9 @@ class Catalog {
   std::vector<std::string> TableNames() const;
 
   /// A deep copy: stored tables are copied, computed builders are shared
-  /// (std::function copy), the materialization cache starts empty. The
-  /// MVCC layer clones the catalog into each published epoch so frozen
-  /// snapshots can materialize views concurrently with the live catalog.
+  /// (std::function copy). The MVCC layer clones the catalog into each
+  /// published epoch so frozen snapshots can materialize views
+  /// concurrently with the live catalog.
   Catalog Clone() const;
 
   /// Approximate heap footprint of the stored tables (computed views
@@ -95,9 +92,6 @@ class Catalog {
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::map<std::string, TableBuilder> computed_;
-  // Last materialization per computed table; mutable so the const
-  // GetTable() can refresh it (caching is bookkeeping, not state).
-  mutable std::map<std::string, std::unique_ptr<Table>> computed_cache_;
 };
 
 }  // namespace gea::rel

@@ -5,7 +5,16 @@
 
 namespace gea::rel {
 
-std::string TableToCsv(const Table& table) {
+namespace {
+
+/// A cell as CSV text. A double takes the shortest form that reads back
+/// as the same double, so a saved table loads back bit for bit.
+std::string CsvCell(const Value& value) {
+  if (value.type() != ValueType::kDouble) return value.ToString();
+  return FormatDoubleExact(value.AsDouble());
+}
+
+CsvDocument ToCsvDocument(const Table& table) {
   CsvDocument doc;
   for (const ColumnDef& col : table.schema().columns()) {
     doc.header.push_back(col.name + ":" + ValueTypeName(col.type));
@@ -14,11 +23,17 @@ std::string TableToCsv(const Table& table) {
     std::vector<std::string> record;
     record.reserve(table.NumColumns());
     for (size_t c = 0; c < table.NumColumns(); ++c) {
-      record.push_back(table.At(r, c).ToString());
+      record.push_back(CsvCell(table.At(r, c)));
     }
     doc.rows.push_back(std::move(record));
   }
-  return WriteCsv(doc);
+  return doc;
+}
+
+}  // namespace
+
+std::string TableToCsv(const Table& table) {
+  return WriteCsv(ToCsvDocument(table));
 }
 
 Result<Table> TableFromCsv(const std::string& name,
@@ -58,19 +73,7 @@ Result<Table> TableFromCsv(const std::string& name,
 }
 
 Status SaveTable(const Table& table, const std::string& path) {
-  CsvDocument doc;
-  for (const ColumnDef& col : table.schema().columns()) {
-    doc.header.push_back(col.name + ":" + ValueTypeName(col.type));
-  }
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    std::vector<std::string> record;
-    record.reserve(table.NumColumns());
-    for (size_t c = 0; c < table.NumColumns(); ++c) {
-      record.push_back(table.At(r, c).ToString());
-    }
-    doc.rows.push_back(std::move(record));
-  }
-  return WriteCsvFile(path, doc);
+  return WriteCsvFile(path, ToCsvDocument(table));
 }
 
 Result<Table> LoadTable(const std::string& name, const std::string& path) {

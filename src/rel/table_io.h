@@ -11,7 +11,8 @@ namespace gea::rel {
 /// CSV persistence for relations (the LOAD / EXPORT utilities of Section
 /// 4.6.2 and Appendix III.2.1). The header encodes both name and type of
 /// each column as "name:type"; NULL cells round-trip as the literal
-/// "NULL".
+/// "NULL", and doubles are written in the shortest form that reads back
+/// as the same double.
 
 /// Serializes `table` to typed CSV text.
 std::string TableToCsv(const Table& table);

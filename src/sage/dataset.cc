@@ -51,8 +51,13 @@ SageDataSet SageDataSet::FilterByState(NeoplasticState state) const {
 Result<SageDataSet> SageDataSet::SelectByIds(
     const std::vector<int>& ids) const {
   SageDataSet out;
+  std::unordered_set<int> seen;
   for (int id : ids) {
     GEA_ASSIGN_OR_RETURN(const SageLibrary* lib, FindById(id));
+    if (!seen.insert(id).second) {
+      return Status::InvalidArgument("library id listed twice: " +
+                                     std::to_string(id));
+    }
     out.AddLibrary(*lib);
   }
   return out;

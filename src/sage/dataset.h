@@ -45,7 +45,8 @@ class SageDataSet {
   SageDataSet FilterByState(NeoplasticState state) const;
 
   /// Libraries whose ids appear in `ids` (the Fig. 4.15 user-defined data
-  /// set). Unknown ids are reported as NotFound.
+  /// set). Unknown ids are reported as NotFound, and an id listed twice as
+  /// InvalidArgument: a library is one column of the ENUM table.
   Result<SageDataSet> SelectByIds(const std::vector<int>& ids) const;
 
   /// Libraries whose ids do NOT appear in `ids`.

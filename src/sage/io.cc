@@ -1,5 +1,6 @@
 #include "sage/io.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -53,13 +54,8 @@ Status WriteFileText(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
-// Renders a count without trailing zeros so integral raw counts stay
-// integral in the file.
-std::string FormatCount(double count) {
-  if (count == static_cast<double>(static_cast<long long>(count))) {
-    return std::to_string(static_cast<long long>(count));
-  }
-  return FormatDouble(count, 6);
+bool ReadableCount(double count) {
+  return std::isfinite(count) && count > 0.0;
 }
 
 }  // namespace
@@ -75,7 +71,7 @@ std::string WriteLibraryText(const SageLibrary& library) {
   for (const SageLibrary::Entry& e : library.entries()) {
     out += DecodeTag(e.tag);
     out += '\t';
-    out += FormatCount(e.count);
+    out += FormatDoubleExact(e.count);
     out += '\n';
   }
   return out;
@@ -132,7 +128,7 @@ Result<SageLibrary> ReadLibraryText(const std::string& name,
     GEA_ASSIGN_OR_RETURN(TagId tag, EncodeTag(fields[0]));
     char* end = nullptr;
     double count = std::strtod(fields[1].c_str(), &end);
-    if (end == fields[1].c_str() || *end != '\0' || count <= 0.0) {
+    if (end == fields[1].c_str() || *end != '\0' || !ReadableCount(count)) {
       return Status::InvalidArgument("bad count on line " +
                                      std::to_string(line_no) + ": " +
                                      fields[1]);
@@ -149,6 +145,21 @@ Result<SageLibrary> ReadLibraryText(const std::string& name,
     library.AddCount(e.tag, e.count);
   }
   return library;
+}
+
+Status CheckCounts(const SageDataSet& dataset) {
+  for (size_t i = 0; i < dataset.NumLibraries(); ++i) {
+    const SageLibrary& library = dataset.library(i);
+    for (const SageLibrary::Entry& e : library.entries()) {
+      if (!ReadableCount(e.count)) {
+        return Status::InvalidArgument("library " + library.name() +
+                                       " has a count that is not finite and "
+                                       "positive: " +
+                                       FormatDoubleExact(e.count));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status SaveLibrary(const SageLibrary& library, const std::string& directory) {
@@ -191,7 +202,7 @@ Status SaveDataSet(const SageDataSet& dataset, const std::string& directory) {
     index += '\t';
     index += TissueSourceName(lib.source());
     index += '\t';
-    index += FormatCount(lib.TotalTagCount());
+    index += FormatDoubleExact(lib.TotalTagCount());
     index += '\t';
     index += std::to_string(lib.UniqueTagCount());
     index += '\n';

@@ -22,6 +22,10 @@ namespace gea::sage {
 ///   # source <bulk_tissue|cell_line>
 ///   <TAG>\t<count>
 ///   ...
+///
+/// A count is written as the shortest decimal text that reads back as the
+/// same double, so the text round-trips a library exactly; a count must
+/// read as a finite positive number.
 
 /// Serializes one library to the text format above.
 std::string WriteLibraryText(const SageLibrary& library);
@@ -30,6 +34,10 @@ std::string WriteLibraryText(const SageLibrary& library);
 /// thesis derives it from the file name).
 Result<SageLibrary> ReadLibraryText(const std::string& name,
                                     const std::string& text);
+
+/// InvalidArgument unless every count of `dataset` is one the text reads
+/// back: finite and positive.
+Status CheckCounts(const SageDataSet& dataset);
 
 /// Writes `library` to `<directory>/<library name>.sage`.
 Status SaveLibrary(const SageLibrary& library, const std::string& directory);

@@ -112,6 +112,16 @@ class SageLibrary {
   std::vector<Entry> entries_;
 };
 
+/// Descriptive attributes of one library without its counts: a row of an
+/// ENUM table and the answer of a library search.
+struct LibraryMeta {
+  int id = 0;
+  std::string name;
+  TissueType tissue = TissueType::kBrain;
+  NeoplasticState state = NeoplasticState::kNormal;
+  TissueSource source = TissueSource::kBulkTissue;
+};
+
 }  // namespace gea::sage
 
 #endif  // GEA_SAGE_LIBRARY_H_

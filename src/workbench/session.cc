@@ -10,6 +10,7 @@
 #include "obs/server.h"
 #include "obs/timeseries.h"
 #include "rel/sql.h"
+#include "sage/io.h"
 #include "sage/stats.h"
 
 namespace gea::workbench {
@@ -208,6 +209,9 @@ Status AnalysisSession::InstallDataSet(txn::CatalogSnapshot& catalog,
 Status AnalysisSession::LoadDataSet(sage::SageDataSet dataset) {
   GEA_RETURN_IF_ERROR(RequireLogin());
   GEA_RETURN_IF_ERROR(RequireWritable());
+  // The WAL and the snapshots hold the data set as library text, which
+  // reads back finite positive counts only.
+  GEA_RETURN_IF_ERROR(sage::CheckCounts(dataset));
   txn::CatalogSnapshot next = WorkingCopy();
   GEA_RETURN_IF_ERROR(InstallDataSet(next, std::move(dataset)));
   RecordLineage("SAGE", lineage::NodeKind::kDataSet, "load",

@@ -114,7 +114,9 @@ class AnalysisSession {
   // ---- Data management (Appendix III.2) ----
 
   /// Loads the (cleaned) SAGE data set, creating the Libraries, Typeinfo
-  /// and Sageinfo relations and the lineage root.
+  /// and Sageinfo relations and the lineage root. A count that is not
+  /// finite and positive fails with InvalidArgument, before anything is
+  /// logged or published.
   Status LoadDataSet(sage::SageDataSet dataset);
 
   /// Drops every derived table and relation (administrators only) — the

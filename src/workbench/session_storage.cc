@@ -372,11 +372,10 @@ store::SnapshotImage AnalysisSession::BuildSnapshotImage(
       kKindLineageParams, std::move(history.params)));
   image.sections.push_back(
       store::SnapshotSection::Table(kKindLineageEdges, std::move(history.edges)));
-  // Stored relations only: computed (gea_stat_*) views are live telemetry
-  // rebuilt by RegisterStatViews, not data — snapshotting one would
-  // freeze a counter sample into the catalog.
+  // Stored relations only: GetTable refuses the computed views (TAGS and
+  // the gea_stat_* telemetry, rebuilt on install), and snapshotting one
+  // would freeze a counter sample into the catalog.
   for (const std::string& name : catalog.relations->TableNames()) {
-    if (catalog.relations->IsComputed(name)) continue;
     auto table = catalog.relations->GetTable(name);
     if (!table.ok()) continue;
     image.sections.push_back(
@@ -475,8 +474,6 @@ Status AnalysisSession::SaveDatabase(const std::string& directory) const {
   GEA_RETURN_IF_ERROR(RequireLogin());
   GEA_RETURN_IF_ERROR(EnsureDirectory(directory));
   txn::SnapshotPin pin = PinSnapshot();
-  // sage/ comes from the epoch's data set, not the image's blob: the
-  // blob's library text rounds the counts that sageName.txt totals.
   if (pin->dataset != nullptr) {
     GEA_RETURN_IF_ERROR(sage::SaveDataSet(*pin->dataset, directory + "/sage"));
   }

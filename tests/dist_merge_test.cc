@@ -1,10 +1,11 @@
 // The differential battery that locks the scatter-gather router to
-// single-node execution: the same workload runs against one full session
-// and against a router over 1/2/4 tag-sharded workers, at operator
-// thread counts 1/2/8, and every fetched relation must come back
-// byte-identical under the canonical table codec — row order and null
-// placement included. Plus unit tests for the
-// gather-side merge and the router's non-routable-command fences.
+// single-node execution: seeded per-tag corpora (tests/support) run
+// against a router over 1/2/4 tag-sharded workers, at operator thread
+// counts 1/2/8. Every step must answer as the single-node reference did,
+// and every table the reference ends with must come back byte-identical
+// under the canonical table codec — row order and null placement
+// included. Plus unit tests for the gather-side merge and the router's
+// non-routable-command fences.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +23,10 @@
 #include "obs/request_trace.h"
 #include "rel/schema.h"
 #include "rel/table.h"
-#include "sage/cleaning.h"
-#include "sage/generator.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "store/format.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea::dist {
@@ -35,24 +35,12 @@ namespace {
 using serve::QueryClient;
 using serve::QueryServer;
 using serve::Response;
-using workbench::AccessLevel;
+using support::AdminSession;
+using support::Command;
+using support::Panel;
+using support::Reference;
+using support::StepResult;
 using workbench::AnalysisSession;
-
-sage::SageDataSet CleanSmallData(uint64_t seed = 42) {
-  sage::GeneratorConfig config;
-  config.seed = seed;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
-  return std::move(synth.dataset);
-}
-
-std::unique_ptr<AnalysisSession> AdminSession() {
-  auto session = std::make_unique<AnalysisSession>("admin", "secret");
-  EXPECT_TRUE(
-      session->Login("admin", "secret", AccessLevel::kAdministrator).ok());
-  return session;
-}
 
 // ---------- MergeByTagNo / SelectTopGapRows units ----------
 
@@ -142,42 +130,6 @@ struct ShardedCluster {
   }
 };
 
-/// Runs the battery workload through `client` (a single-node server or a
-/// router — same wire surface). Every op is per-tag decomposable; the
-/// brain/custom pairing makes some tags null in one operand, so shards
-/// whose candidate slice is all-null are exercised too.
-void RunWorkload(QueryClient& client, const std::string& custom_libs) {
-  auto call = [&](const std::string& op,
-                  std::map<std::string, std::string> params) {
-    Result<Response> response = client.Call(op, std::move(params));
-    ASSERT_TRUE(response.ok()) << op << ": " << response.status().ToString();
-    ASSERT_TRUE(response->ok()) << op << ": " << response->message;
-  };
-  call("tissue_dataset", {{"tissue", "brain"}});
-  call("tissue_dataset", {{"tissue", "breast"}});
-  call("custom_dataset", {{"name", "cust"}, {"libs", custom_libs}});
-  call("generate_metadata",
-       {{"dataset", "brain"}, {"percent", "25"}, {"meta", "meta"}});
-  call("aggregate", {{"enum", "brain"}, {"out", "s_brain"}});
-  call("aggregate", {{"enum", "breast"}, {"out", "s_breast"}});
-  call("aggregate", {{"enum", "cust"}, {"out", "s_cust"}});
-  call("diff", {{"sumy1", "s_brain"}, {"sumy2", "s_breast"}, {"gap", "g"}});
-  // The sparse gap: tags missing from the two-library custom SUMY leave
-  // nulls, so some shard's top-gap candidates can be entirely null.
-  call("diff", {{"sumy1", "s_brain"}, {"sumy2", "s_cust"}, {"gap", "g_sparse"}});
-  call("top_gap", {{"gap", "g"}, {"x", "7"}});
-  call("top_gap", {{"gap", "g"}, {"x", "5"}, {"mode", "1"}});
-  call("top_gap", {{"gap", "g_sparse"}, {"x", "4"}, {"mode", "2"}});
-}
-
-/// Every relation the battery compares, by catalog name. Tolerance
-/// metadata ("meta") is not a fetchable relation on either side, so the
-/// generate_metadata broadcast is asserted by its wire ack instead.
-std::vector<std::string> ComparedTables() {
-  return {"brain",    "breast", "cust", "s_brain",  "s_breast", "s_cust",
-          "g",        "g_sparse", "g_7", "g_5",     "g_sparse_4"};
-}
-
 std::string FetchBytes(QueryClient& client, const std::string& name) {
   Result<Response> response = client.Call("get_table", {{"name", name}});
   EXPECT_TRUE(response.ok()) << name;
@@ -189,69 +141,84 @@ std::string FetchBytes(QueryClient& client, const std::string& name) {
   return store::EncodeTable(*response->table);
 }
 
-std::string SqlBytes(QueryClient& client, const std::string& query) {
-  Result<rel::Table> table = client.Sql(query);
-  EXPECT_TRUE(table.ok()) << query << ": " << table.status().ToString();
-  if (!table.ok()) return "<error>";
-  return store::EncodeTable(*table);
+std::string Encoded(const Result<rel::Table>& table) {
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.ok() ? store::EncodeTable(*table) : "<error>";
 }
 
 const char* const kTagsQuery = "SELECT * FROM TAGS";
 const char* const kCountQuery = "SELECT COUNT(*) AS n FROM Libraries";
 
-TEST(DistMergeBattery, RouterIsByteIdenticalToSingleNode) {
-  const sage::SageDataSet full = CleanSmallData();
-  ASSERT_GE(full.NumLibraries(), 2u);
-  // A two-library custom dataset; its SUMY leaves other tags null.
-  const std::string custom_libs = std::to_string(full.library(0).id()) + "," +
-                                  std::to_string(full.library(1).id());
-
-  // The single-node reference, computed once: per-tag kernels are
-  // deterministic and thread-count invariant (columnar_diff_test pins
-  // that), so one reference serves every (threads, shards) cell.
-  std::map<std::string, std::string> reference;
-  std::string reference_tags;
-  std::string reference_count;
-  {
-    auto session = AdminSession();
-    ASSERT_TRUE(session->LoadDataSet(full).ok());
-    QueryServer server(session.get());
-    ASSERT_TRUE(server.Start().ok());
-    QueryClient client;
-    ASSERT_TRUE(client.Connect(server.Port()).ok());
-    ASSERT_TRUE(client.Login("admin", "secret", "admin").ok());
-    RunWorkload(client, custom_libs);
-    if (HasFatalFailure()) return;
-    for (const std::string& name : ComparedTables()) {
-      reference[name] = FetchBytes(client, name);
-    }
-    reference_tags = SqlBytes(client, kTagsQuery);
-    reference_count = SqlBytes(client, kCountQuery);
-    server.Stop();
+/// Runs one per-tag corpus through routers over every shard and thread
+/// count. A failed step compares its status code only: a shard's error
+/// carries a "shard i:" prefix.
+void RunRouted(uint64_t seed) {
+  const Reference reference(seed, support::Scope::kPerTag);
+  const std::vector<Command>& corpus = reference.corpus();
+  // What the router must hand back: every table the reference ends with,
+  // the TagNo-keyed TAGS scan it merges, and the shard-invariant Libraries
+  // count it passes through because every worker holds every library.
+  const AnalysisSession& single = reference.session();
+  std::map<std::string, std::string> tables;
+  for (const std::string& name : single.TableNames()) {
+    tables[name] = Encoded(single.MaterializeAnyTable(name));
   }
+  const std::string tags = Encoded(single.Query(kTagsQuery));
+  const std::string count = Encoded(single.Query(kCountQuery));
 
   for (size_t threads : {1u, 2u, 8u}) {
     ThreadCountOverride scope(threads);
     for (size_t shards : {1u, 2u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " shards=" + std::to_string(shards));
+      // The shards load their slices of the panel: the corpus's
+      // load_dataset.
       std::unique_ptr<ShardedCluster> cluster =
-          ShardedCluster::Start(full, shards);
-      if (HasFatalFailure()) return;
+          ShardedCluster::Start(Panel(), shards);
+      if (testing::Test::HasFatalFailure()) return;
       QueryClient client;
       ASSERT_TRUE(client.Connect(cluster->router->Port()).ok());
       ASSERT_TRUE(client.Login("router", "router-secret", "admin").ok());
-      RunWorkload(client, custom_libs);
-      if (HasFatalFailure()) return;
-      for (const std::string& name : ComparedTables()) {
-        EXPECT_EQ(FetchBytes(client, name), reference.at(name)) << name;
+      for (size_t i = 0; i < corpus.size(); ++i) {
+        const Command& command = corpus[i];
+        if (command.op == "load_dataset") continue;
+        const StepResult got =
+            support::FromResponse(client.Call(command.op, command.params));
+        const StepResult& want = reference.steps()[i];
+        if (want.code == StatusCode::kOk) {
+          EXPECT_EQ(got, want) << "step " << i << ": "
+                               << support::Describe(command);
+        } else {
+          EXPECT_EQ(got.code, want.code) << "step " << i << ": "
+                                         << support::Describe(command);
+        }
       }
-      // The TagNo-keyed SQL scan merges; the shard-invariant one passes
-      // through because every worker holds every library.
-      EXPECT_EQ(SqlBytes(client, kTagsQuery), reference_tags);
-      EXPECT_EQ(SqlBytes(client, kCountQuery), reference_count);
+      for (const auto& [name, bytes] : tables) {
+        EXPECT_EQ(FetchBytes(client, name), bytes) << name;
+      }
+      EXPECT_EQ(Encoded(client.Sql(kTagsQuery)), tags);
+      EXPECT_EQ(Encoded(client.Sql(kCountQuery)), count);
       cluster->Stop();
     }
+  }
+}
+
+class DistMergeBattery : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(DistMergeBattery, RouterIsByteIdenticalToSingleNode) {
+  RunRouted(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DistMergeBattery,
+                         testing::ValuesIn(support::kCorpusSeeds));
+
+// The sweep over more seeds; CI runs it with
+// --gtest_also_run_disabled_tests.
+TEST(DistMergeSweep, DISABLED_MoreSeeds) {
+  for (uint64_t seed = 4; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunRouted(seed);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -260,8 +227,7 @@ TEST(DistMergeBattery, RouterIsByteIdenticalToSingleNode) {
 // capture.
 TEST(DistRouterTest, TracedRoutedRequestRecordsItsFanOut) {
   obs::RequestTraceRing::Global().Clear();
-  const sage::SageDataSet full = CleanSmallData();
-  std::unique_ptr<ShardedCluster> cluster = ShardedCluster::Start(full, 2);
+  std::unique_ptr<ShardedCluster> cluster = ShardedCluster::Start(Panel(), 2);
   ASSERT_FALSE(HasFatalFailure());
   QueryClient client;
   ASSERT_TRUE(client.Connect(cluster->router->Port()).ok());
@@ -294,8 +260,7 @@ TEST(DistRouterTest, TracedRoutedRequestRecordsItsFanOut) {
 }
 
 TEST(DistRouterTest, FencesAndShardSurface) {
-  const sage::SageDataSet full = CleanSmallData();
-  std::unique_ptr<ShardedCluster> cluster = ShardedCluster::Start(full, 2);
+  std::unique_ptr<ShardedCluster> cluster = ShardedCluster::Start(Panel(), 2);
   ASSERT_FALSE(HasFatalFailure());
   QueryClient client;
   ASSERT_TRUE(client.Connect(cluster->router->Port()).ok());

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,13 +20,11 @@
 #include "dist/replica.h"
 #include "store/engine.h"
 #include "store/fault_env.h"
-#include "sage/cleaning.h"
-#include "sage/generator.h"
-#include "sage/io.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "store/format.h"
 #include "store/wal.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea::dist {
@@ -37,44 +34,9 @@ using serve::QueryClient;
 using serve::QueryServer;
 using serve::Response;
 using workbench::AccessLevel;
-using workbench::AnalysisSession;
 
-std::string FreshDir(const std::string& tag) {
-  std::string dir = testing::TempDir() + "/gea_dist_repl_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-/// The generator output, round-tripped once through the library text
-/// codec so the dataset is a fixed point of it — the WAL ships datasets
-/// in that format, and byte-identical assertions need replayed state to
-/// see exactly the same doubles (the recovery_test idiom).
-const sage::SageDataSet& TestDataSet() {
-  static const sage::SageDataSet* dataset = [] {
-    sage::GeneratorConfig config;
-    config.seed = 42;
-    config.panels = sage::SyntheticSageGenerator::SmallPanels();
-    sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-    sage::CleanAndNormalize(synth.dataset);
-    auto* fixed = new sage::SageDataSet();
-    for (size_t i = 0; i < synth.dataset.NumLibraries(); ++i) {
-      const sage::SageLibrary& lib = synth.dataset.library(i);
-      Result<sage::SageLibrary> back =
-          sage::ReadLibraryText(lib.name(), sage::WriteLibraryText(lib));
-      EXPECT_TRUE(back.ok()) << back.status().ToString();
-      fixed->AddLibrary(std::move(*back));
-    }
-    return fixed;
-  }();
-  return *dataset;
-}
-
-std::unique_ptr<AnalysisSession> AdminSession() {
-  auto session = std::make_unique<AnalysisSession>("admin", "secret");
-  EXPECT_TRUE(
-      session->Login("admin", "secret", AccessLevel::kAdministrator).ok());
-  return session;
-}
+using support::AdminSession;
+using support::FreshDir;
 
 // ---------- partitioning ----------
 
@@ -101,7 +63,7 @@ TEST(PartitionTest, ShardOfTagCoversAllShardsAndIsStable) {
 }
 
 TEST(PartitionTest, SlicesAreADisjointCoverWithEveryLibraryPresent) {
-  const sage::SageDataSet& full = TestDataSet();
+  const sage::SageDataSet& full = support::Panel();
   constexpr size_t kShards = 3;
 
   // tag -> count per library, reassembled from the slices.
@@ -191,7 +153,7 @@ TEST(ReplicationHubTest, TornCommitBatchShipsNoFrames) {
   store::FaultInjectionEnv env(store::FileEnv::Default());
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir, store::StorageOptions{}, &env).ok());
-  ASSERT_TRUE(session->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   const uint64_t pre_lsn = session->DurableLsn();
   ASSERT_GT(pre_lsn, 0u);
@@ -233,7 +195,7 @@ TEST(ReplicationHubTest, SnapshotShipsOnlyCommittedWrites) {
   store::FaultInjectionEnv env(store::FileEnv::Default());
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir, store::StorageOptions{}, &env).ok());
-  ASSERT_TRUE(session->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
 
   QueryServer server(session.get());
@@ -282,7 +244,7 @@ TEST(ReplicationHubTest, WireSurfaceFloorsAndLongPolls) {
   const std::string dir = FreshDir("hub");
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir).ok());
-  ASSERT_TRUE(session->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   ASSERT_TRUE(
       session->AddUser("reader", "pw", AccessLevel::kUser).ok());
@@ -378,7 +340,7 @@ TEST(ReplicaServerTest, ColdStartCatchUpStreamingPromotion) {
   const std::string dir = FreshDir("pipeline");
   auto primary_session = AdminSession();
   ASSERT_TRUE(primary_session->OpenStorage(dir).ok());
-  ASSERT_TRUE(primary_session->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(primary_session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(
       primary_session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
 

@@ -1,11 +1,19 @@
 // Tests for the persistence layer: SAGE library files, the relational
-// round trips of the GEA structures, lineage export/import, and the
-// session-level SaveDatabase / LoadDatabase.
+// round trips of the GEA structures, lineage export/import, the
+// session-level SaveDatabase / LoadDatabase, and the corpus runners that
+// reinstall a whole catalog mid-corpus (tests/support). The coverage test
+// of the corpus generator lives here too.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <set>
 
 #include "core/gap_ops.h"
 #include "core/serialization.h"
@@ -14,6 +22,7 @@
 #include "sage/cleaning.h"
 #include "sage/generator.h"
 #include "sage/io.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea {
@@ -21,11 +30,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string FreshDir(const std::string& tag) {
-  std::string dir = testing::TempDir() + "/gea_persist_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
+using support::FreshDir;
 
 sage::SageLibrary SampleLibrary() {
   sage::SageLibrary lib(7, "SAGE_brain_cancer_B1", sage::TissueType::kBrain,
@@ -51,6 +56,7 @@ TEST(SageIoTest, LibraryTextRoundTrip) {
   EXPECT_EQ(back->source(), sage::TissueSource::kCellLine);
   ASSERT_EQ(back->entries().size(), lib.entries().size());
   EXPECT_DOUBLE_EQ(back->Count(*sage::EncodeTag("CCTTGAGTAC")), 4.5);
+  EXPECT_NE(text.find("AAAAAAAAAC\t13\n"), std::string::npos) << text;
 }
 
 TEST(SageIoTest, ReadRejectsMalformedInput) {
@@ -67,6 +73,50 @@ TEST(SageIoTest, ReadRejectsMalformedInput) {
   EXPECT_FALSE(sage::ReadLibraryText(
                    "x", "# gea-sage-library v1\n# tissue liver\n")
                    .ok());
+  // A count must be finite and positive.
+  for (const char* count : {"nan", "inf", "1e400", "0", "-2"}) {
+    EXPECT_FALSE(sage::ReadLibraryText(
+                     "x", std::string("# gea-sage-library v1\nAAAAAAAAAC\t") +
+                              count + "\n")
+                     .ok())
+        << count;
+  }
+}
+
+// The text is the durable form of a data set (the WAL's load_dataset
+// record, the snapshot's data-set section, SaveDatabase's sage/), so it
+// must give back every normalized count bit for bit.
+TEST(SageIoTest, LibraryTextIsExactOnTheRawPanel) {
+  size_t counts = 0;
+  for (const sage::SageLibrary& lib : support::Panel().libraries()) {
+    Result<sage::SageLibrary> back =
+        sage::ReadLibraryText(lib.name(), sage::WriteLibraryText(lib));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->entries().size(), lib.entries().size());
+    for (size_t i = 0; i < lib.entries().size(); ++i) {
+      ASSERT_EQ(back->entries()[i].tag, lib.entries()[i].tag);
+      ASSERT_EQ(std::bit_cast<uint64_t>(back->entries()[i].count),
+                std::bit_cast<uint64_t>(lib.entries()[i].count))
+          << lib.name() << " entry " << i;
+      ++counts;
+    }
+  }
+  EXPECT_GT(counts, 10000u);
+
+  // Integral counts stay integers; the rest take their shortest exact
+  // form.
+  sage::SageLibrary lib(1, "L", sage::TissueType::kBrain,
+                        sage::NeoplasticState::kNormal,
+                        sage::TissueSource::kBulkTissue);
+  lib.SetCount(*sage::EncodeTag("AAAAAAAAAA"), 300000.0);
+  lib.SetCount(*sage::EncodeTag("AAAAAAAAAC"), 0.1 + 0.2);
+  lib.SetCount(*sage::EncodeTag("AAAAAAAAAG"), 1e-7);
+  const std::string text = sage::WriteLibraryText(lib);
+  EXPECT_NE(text.find("AAAAAAAAAA\t300000\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("AAAAAAAAAC\t0.30000000000000004\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("AAAAAAAAAG\t1e-07\n"), std::string::npos) << text;
 }
 
 TEST(SageIoTest, DataSetDirectoryRoundTrip) {
@@ -258,16 +308,10 @@ TEST(SessionPersistTest, SaveAndLoadDatabase) {
   using workbench::AccessLevel;
   using workbench::AnalysisSession;
 
-  sage::GeneratorConfig config;
-  config.seed = 42;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
-
   AnalysisSession session("admin", "secret");
   ASSERT_TRUE(
       session.Login("admin", "secret", AccessLevel::kAdministrator).ok());
-  ASSERT_TRUE(session.LoadDataSet(synth.dataset).ok());
+  ASSERT_TRUE(session.LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session.CreateTissueDataSet(sage::TissueType::kBrain).ok());
   ASSERT_TRUE(session.GenerateMetadata("brain", 25.0, "meta").ok());
   Result<std::vector<std::string>> fascicles = session.CalculateFascicles(
@@ -315,7 +359,7 @@ TEST(SessionPersistTest, SaveAndLoadDatabase) {
   // The data set itself round-tripped.
   Result<const sage::SageDataSet*> data = restored.DataSet();
   ASSERT_TRUE(data.ok());
-  EXPECT_EQ((*data)->NumLibraries(), synth.dataset.NumLibraries());
+  EXPECT_EQ((*data)->NumLibraries(), support::Panel().NumLibraries());
 
   // And the restored session keeps working: re-run a downstream step.
   Result<std::string> top = restored.CalculateTopGap("brain_gap", 10);
@@ -327,15 +371,10 @@ TEST(SessionPersistTest, SaveSkipsComputedStatViewsButKeepsStoredRelations) {
   using workbench::AccessLevel;
   using workbench::AnalysisSession;
 
-  sage::GeneratorConfig config;
-  config.seed = 42;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-
   AnalysisSession session("admin", "secret");
   ASSERT_TRUE(
       session.Login("admin", "secret", AccessLevel::kAdministrator).ok());
-  ASSERT_TRUE(session.LoadDataSet(synth.dataset).ok());
+  ASSERT_TRUE(session.LoadDataSet(support::Panel()).ok());
   // Touch a stat view so it is definitely live in the catalog.
   ASSERT_TRUE(session.Query("SELECT name FROM gea_stat_counters").ok());
 
@@ -362,7 +401,7 @@ TEST(SessionPersistTest, SaveSkipsComputedStatViewsButKeepsStoredRelations) {
   Result<rel::Table> libs =
       restored.Query("SELECT Lib_ID, Lib_Name FROM Libraries");
   ASSERT_TRUE(libs.ok()) << libs.status().ToString();
-  EXPECT_EQ(libs->NumRows(), synth.dataset.NumLibraries());
+  EXPECT_EQ(libs->NumRows(), support::Panel().NumLibraries());
   // The stat views are still computed (live), not frozen table data.
   Result<rel::Table> counters =
       restored.Query("SELECT name, value FROM gea_stat_counters");
@@ -404,6 +443,186 @@ TEST(SessionPersistTest, LoadFromMissingDirectoryFails) {
                          workbench::AccessLevel::kAdministrator)
                   .ok());
   EXPECT_FALSE(session.LoadDatabase("/nonexistent/gea_db").ok());
+}
+
+// ---------- the corpus through whole-catalog reinstalls ----------
+
+using support::AdminSession;
+using support::Command;
+using support::Fingerprint;
+using support::Reference;
+using support::SameCatalog;
+using workbench::AnalysisSession;
+
+using Reinstall = std::function<std::unique_ptr<AnalysisSession>(
+    const AnalysisSession& live)>;
+
+/// Runs a logged corpus on a direct session that, at every checkpoint
+/// step and once more at the end, is swapped for a fresh session
+/// `reinstall` builds from it. Every copy must hold its original's
+/// catalog, every step must answer as the reference did, and the last
+/// copy must hold the reference's final catalog: a reinstalled catalog
+/// behaves like the one it came from.
+void RunThroughReinstalls(uint64_t seed, const Reinstall& reinstall) {
+  const Reference reference(seed, support::Scope::kLogged);
+  const std::vector<Command>& corpus = reference.corpus();
+  std::unique_ptr<AnalysisSession> session = AdminSession();
+  auto swap = [&](size_t step) {
+    std::unique_ptr<AnalysisSession> copy = reinstall(*session);
+    EXPECT_TRUE(SameCatalog(Fingerprint(*copy), Fingerprint(*session)))
+        << "reinstalled before step " << step;
+    session = std::move(copy);
+  };
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    if (corpus[i].op == "checkpoint") swap(i);
+    EXPECT_EQ(support::RunStep(*session, corpus[i]), reference.steps()[i])
+        << "step " << i << ": " << support::Describe(corpus[i]);
+  }
+  swap(corpus.size());
+  EXPECT_TRUE(SameCatalog(Fingerprint(*session),
+                          reference.FingerprintAt(corpus.size())));
+}
+
+class ReinstallCorpusTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReinstallCorpusTest, SaveDatabaseThenLoadDatabase) {
+  RunThroughReinstalls(GetParam(), [](const AnalysisSession& live) {
+    const std::string dir = FreshDir("saved");
+    Status saved = live.SaveDatabase(dir);
+    EXPECT_TRUE(saved.ok()) << saved.ToString();
+    std::unique_ptr<AnalysisSession> copy = AdminSession();
+    Status loaded = copy->LoadDatabase(dir);
+    EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+    return copy;
+  });
+}
+
+TEST_P(ReinstallCorpusTest, ApplySnapshotBlob) {
+  RunThroughReinstalls(GetParam(), [](const AnalysisSession& live) {
+    std::unique_ptr<AnalysisSession> copy = AdminSession();
+    Status applied = copy->ApplySnapshotBlob(live.ExportSnapshotBlob());
+    EXPECT_TRUE(applied.ok()) << applied.ToString();
+    return copy;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReinstallCorpusTest,
+                         testing::ValuesIn(support::kCorpusSeeds));
+
+// The sweep over more seeds; CI runs it with
+// --gtest_also_run_disabled_tests.
+INSTANTIATE_TEST_SUITE_P(DISABLED_Sweep, ReinstallCorpusTest,
+                         testing::Range<uint64_t>(4, 40));
+
+// ---------- what the ctest seeds cover ----------
+
+/// Labels for what each step of a corpus exercised, from its command and
+/// the reference's answer: "<op>" for a successful op under its logged
+/// name, plus the edge cases.
+std::set<std::string> Coverage(support::Scope scope) {
+  std::set<std::string> seen;
+  for (uint64_t seed : support::kCorpusSeeds) {
+    const Reference reference(seed, scope);
+    const std::vector<Command>& corpus = reference.corpus();
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const Command& command = corpus[i];
+      const StatusCode code = reference.steps()[i].code;
+      auto param = [&](const std::string& key) {
+        auto it = command.params.find(key);
+        return it == command.params.end() ? std::string("absent")
+                                          : it->second;
+      };
+      if (code == StatusCode::kAlreadyExists) seen.insert("taken name");
+      if (code == StatusCode::kNotFound) seen.insert("unknown input");
+      if (command.op == "top_gap" && param("x") == "0" &&
+          code == StatusCode::kInvalidArgument) {
+        seen.insert("x=0");
+      }
+      if (code != StatusCode::kOk) continue;
+      const std::string& op = command.op;
+      seen.insert(op == "mine" ? "fascicles" : op == "diff" ? "create_gap" : op);
+      if (param("replace") == "1") seen.insert("replace on");
+      if (command.params.count("replace") && param("replace") != "1") {
+        seen.insert("replace off");
+      }
+      if (op == "custom_dataset" &&
+          param(command.params.count("ids") ? "ids" : "libs").empty()) {
+        seen.insert("empty id list");
+      }
+      if (op == "mine" || op == "fascicles") {
+        seen.insert(param("algorithm") == "0" ? "exact" : "greedy");
+      }
+      if (op == "top_gap") {
+        seen.insert("mode " + (param("mode") == "absent" ? std::string("0")
+                                                          : param("mode")));
+      }
+      if (op == "delete_table") {
+        seen.insert(param("cascade") == "1" ? "cascade delete"
+                                            : "plain delete");
+      }
+      if (op == "initialize" && i + 1 < corpus.size() &&
+          corpus[i + 1].op == "load_dataset" &&
+          reference.steps()[i + 1].code == StatusCode::kOk) {
+        seen.insert("initialize then reload");
+      }
+    }
+    // A top gap over a gap with nulls: a shard's candidates can then be
+    // all null.
+    const AnalysisSession& session = reference.session();
+    const std::vector<std::string> names = session.TableNames();
+    for (const std::string& name : names) {
+      Result<const core::GapTable*> gap = session.GetGap(name);
+      if (!gap.ok()) continue;
+      const std::vector<uint8_t>& valid = (*gap)->column_valid(0);
+      const bool nulls =
+          std::find(valid.begin(), valid.end(), 0) != valid.end();
+      for (const std::string& other : names) {
+        if (nulls && other.rfind(name + "_", 0) == 0) {
+          seen.insert("top gap over nulls");
+        }
+      }
+    }
+  }
+  return seen;
+}
+
+TEST(CorpusTest, SeedsCoverEveryLoggedKindAndEdgeCase) {
+  const std::set<std::string> seen = Coverage(support::Scope::kLogged);
+  for (const char* want :
+       {// every kind the WAL logs, plus the checkpoint
+        "load_dataset", "tissue_dataset", "custom_dataset",
+        "generate_metadata", "fascicles", "control_groups", "aggregate",
+        "populate", "create_gap", "top_gap", "compare_gaps", "gap_query",
+        "comment", "delete_table", "initialize", "checkpoint",
+        // the edge cases
+        "empty id list", "replace on", "replace off", "greedy", "exact",
+        "mode 0", "mode 1", "mode 2", "cascade delete", "plain delete",
+        "initialize then reload", "taken name", "unknown input", "x=0"}) {
+    EXPECT_TRUE(seen.count(want)) << want;
+  }
+}
+
+TEST(CorpusTest, SeedsCoverTheServedAndPerTagVocabularies) {
+  const std::set<std::string> served = Coverage(support::Scope::kServed);
+  for (const char* want :
+       {"tissue_dataset", "custom_dataset", "generate_metadata", "fascicles",
+        "aggregate", "populate", "create_gap", "top_gap", "compare_gaps",
+        "gap_query", "checkpoint", "taken name", "unknown input", "x=0"}) {
+    EXPECT_TRUE(served.count(want)) << "served: " << want;
+  }
+  const std::set<std::string> per_tag = Coverage(support::Scope::kPerTag);
+  for (const char* want :
+       {"tissue_dataset", "custom_dataset", "generate_metadata", "aggregate",
+        "create_gap", "top_gap", "compare_gaps", "gap_query", "mode 0",
+        "mode 1", "mode 2", "top gap over nulls", "taken name",
+        "unknown input", "x=0"}) {
+    EXPECT_TRUE(per_tag.count(want)) << "per-tag: " << want;
+  }
+  for (const char* excluded : {"fascicles", "populate", "checkpoint",
+                               "control_groups", "comment", "delete_table",
+                               "initialize"}) {
+    EXPECT_FALSE(per_tag.count(excluded)) << "per-tag: " << excluded;
+  }
 }
 
 }  // namespace

@@ -1,214 +1,62 @@
-// Crash-recovery tests for the session-level durable storage: WAL replay
-// across clean restarts, checkpoint rotation, and the kill-point matrix —
-// the same workload interrupted at every fault-injection point with every
-// fault kind, asserting the recovered catalog is byte-identical to the
-// state produced by exactly the committed (acknowledged) prefix of
-// operations.
+// Crash-recovery tests for the session-level durable storage. The
+// corpus runners replay seeded command corpora (tests/support) against a
+// session with storage: after a clean restart, and interrupted at every
+// fault-injection point with every fault kind, the recovered catalog must
+// be byte-identical to the reference run's at the acknowledged prefix.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "sage/cleaning.h"
-#include "sage/generator.h"
-#include "sage/io.h"
 #include "store/fault_env.h"
 #include "store/file_env.h"
 #include "store/snapshot.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea {
 namespace {
 
-namespace fs = std::filesystem;
-
 using store::FaultInjectionEnv;
-using workbench::AccessLevel;
+using support::AdminSession;
+using support::Command;
+using support::Fingerprint;
+using support::FreshDir;
+using support::Panel;
+using support::Reference;
+using support::SameCatalog;
 using workbench::AnalysisSession;
 
-std::string FreshDir(const std::string& tag) {
-  std::string dir = testing::TempDir() + "/gea_recover_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
-
-const sage::SageDataSet& TestDataSet() {
-  static const sage::SageDataSet* dataset = [] {
-    sage::GeneratorConfig config;
-    config.seed = 42;
-    config.panels = sage::SyntheticSageGenerator::SmallPanels();
-    sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-    sage::CleanAndNormalize(synth.dataset);
-    // Round-trip through the library text codec once so the dataset is a
-    // fixed point of it: the WAL persists datasets in that format, and the
-    // byte-identical assertions below need replayed computations to see
-    // exactly the same doubles as the reference session.
-    auto* fixed = new sage::SageDataSet();
-    for (size_t i = 0; i < synth.dataset.NumLibraries(); ++i) {
-      const sage::SageLibrary& lib = synth.dataset.library(i);
-      Result<sage::SageLibrary> back =
-          sage::ReadLibraryText(lib.name(), sage::WriteLibraryText(lib));
-      EXPECT_TRUE(back.ok()) << back.status().ToString();
-      fixed->AddLibrary(std::move(*back));
-    }
-    return fixed;
-  }();
-  return *dataset;
-}
-
-std::unique_ptr<AnalysisSession> NewAdminSession() {
-  auto session = std::make_unique<AnalysisSession>("admin", "secret");
-  EXPECT_TRUE(
-      session->Login("admin", "secret", AccessLevel::kAdministrator).ok());
-  return session;
-}
-
-/// The workload the kill-point matrix interrupts. Every step is a logical
-/// operation the WAL must make durable; the mid-workload checkpoint step
-/// exercises the snapshot rotation fault points too (it is a no-op for
-/// the storage-less reference sessions — checkpoints do not change the
-/// logical catalog).
-std::vector<std::function<Status(AnalysisSession&)>> WorkloadSteps() {
-  return {
-      [](AnalysisSession& s) { return s.LoadDataSet(TestDataSet()); },
-      [](AnalysisSession& s) {
-        return s.CreateTissueDataSet(sage::TissueType::kBrain);
-      },
-      [](AnalysisSession& s) {
-        return s.GenerateMetadata("brain", 25.0, "meta");
-      },
-      [](AnalysisSession& s) { return s.Aggregate("brain", "brain_sumy"); },
-      [](AnalysisSession& s) {
-        return s.CreateTissueDataSet(sage::TissueType::kBreast);
-      },
-      [](AnalysisSession& s) { return s.Aggregate("breast", "breast_sumy"); },
-      [](AnalysisSession& s) {
-        return s.CreateGap("brain_sumy", "breast_sumy", "bb_gap");
-      },
-      [](AnalysisSession& s) {
-        return s.StorageAttached() ? s.Checkpoint() : Status::OK();
-      },
-      [](AnalysisSession& s) {
-        return s.CalculateTopGap("bb_gap", 5).status();
-      },
-      [](AnalysisSession& s) { return s.CommentOn("bb_gap", "crash test"); },
-      [](AnalysisSession& s) {
-        return s.DeleteTable("breast_sumy", /*cascade=*/false);
-      },
-  };
-}
-
-/// Canonical byte-level state of a session: every file SaveDatabase
-/// emits, keyed by relative path. SaveDatabase is deterministic, so two
-/// sessions holding the same catalog fingerprint identically.
-std::map<std::string, std::string> Fingerprint(const AnalysisSession& session,
-                                               const std::string& tag) {
-  std::string dir = FreshDir("fp_" + tag);
-  Status saved = session.SaveDatabase(dir);
-  EXPECT_TRUE(saved.ok()) << saved.ToString();
-  std::map<std::string, std::string> files;
-  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    files[fs::relative(entry.path(), dir).string()] =
-        std::string(std::istreambuf_iterator<char>(in), {});
+/// One reference per logged-scope seed, shared by the tests of a run.
+const Reference& LoggedReference(uint64_t seed) {
+  static std::map<uint64_t, std::unique_ptr<Reference>>* references =
+      new std::map<uint64_t, std::unique_ptr<Reference>>();
+  std::unique_ptr<Reference>& reference = (*references)[seed];
+  if (reference == nullptr) {
+    reference = std::make_unique<Reference>(seed, support::Scope::kLogged);
   }
-  fs::remove_all(dir);
-  return files;
+  return *reference;
 }
 
-// Both whole-catalog installs restore a session byte for byte: a
-// database directory through LoadDatabase, and an exported blob through
-// ApplySnapshotBlob. Exact because TestDataSet() is a fixed point of the
-// library text format.
-TEST(RecoveryTest, SavedAndExportedCatalogsReinstallIdentically) {
-  std::unique_ptr<AnalysisSession> source = NewAdminSession();
-  for (const auto& step : WorkloadSteps()) ASSERT_TRUE(step(*source).ok());
-  const auto fingerprint = Fingerprint(*source, "reinstall_source");
-
-  const std::string dir = FreshDir("reinstall_saved");
-  ASSERT_TRUE(source->SaveDatabase(dir).ok());
-  std::unique_ptr<AnalysisSession> loaded = NewAdminSession();
-  Status load = loaded->LoadDatabase(dir);
-  ASSERT_TRUE(load.ok()) << load.ToString();
-  EXPECT_EQ(Fingerprint(*loaded, "reinstall_loaded"), fingerprint);
-
-  std::unique_ptr<AnalysisSession> applied = NewAdminSession();
-  Status apply = applied->ApplySnapshotBlob(source->ExportSnapshotBlob());
-  ASSERT_TRUE(apply.ok()) << apply.ToString();
-  EXPECT_EQ(Fingerprint(*applied, "reinstall_applied"), fingerprint);
-}
-
-/// Runs the workload against a session with storage at `dir` through
-/// `env`, stopping at the first failed step. Returns how many steps were
-/// acknowledged (returned OK) — with sync-every-record, exactly the
-/// committed prefix.
-size_t RunWorkload(const std::string& dir, store::FileEnv* env) {
-  std::unique_ptr<AnalysisSession> session = NewAdminSession();
+/// Runs `reference`'s corpus against a session with storage at `dir`
+/// through `env`, up to the first step that fails where the reference
+/// succeeded. Returns the acknowledged prefix.
+size_t RunOnStorage(const Reference& reference, const std::string& dir,
+                    store::FileEnv* env) {
+  std::unique_ptr<AnalysisSession> session = AdminSession();
   if (!session->OpenStorage(dir, store::StorageOptions{}, env).ok()) return 0;
-  size_t committed = 0;
-  for (const auto& step : WorkloadSteps()) {
-    if (!step(*session).ok()) break;
-    ++committed;
-  }
-  return committed;
+  return support::RunAckedPrefix(reference, [&](const Command& command) {
+    return support::RunStep(*session, command);
+  });
 }
 
-// ---------- clean restarts ----------
-
-TEST(RecoveryTest, WalReplayAcrossCleanRestart) {
-  std::string dir = FreshDir("clean");
-  size_t committed = RunWorkload(dir, store::FileEnv::Default());
-  EXPECT_EQ(committed, WorkloadSteps().size());
-
-  std::unique_ptr<AnalysisSession> reference = NewAdminSession();
-  for (const auto& step : WorkloadSteps()) ASSERT_TRUE(step(*reference).ok());
-
-  std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
-  ASSERT_TRUE(recovered->OpenStorage(dir).ok());
-  EXPECT_EQ(Fingerprint(*recovered, "clean_rec"),
-            Fingerprint(*reference, "clean_ref"));
-
-  Result<store::RecoverySummary> summary = recovered->StorageRecovery();
-  ASSERT_TRUE(summary.ok());
-  // The mid-workload checkpoint rotated to generation 1 with a snapshot;
-  // only the post-checkpoint operations were replayed from the WAL.
-  EXPECT_EQ(summary->generation, 1u);
-  EXPECT_TRUE(summary->snapshot_loaded);
-  EXPECT_EQ(summary->wal_records_replayed, 3u);
-  EXPECT_FALSE(summary->wal_torn_tail);
-}
-
-TEST(RecoveryTest, CheckpointThenRestartLoadsSnapshotOnly) {
-  std::string dir = FreshDir("ckpt");
-  {
-    std::unique_ptr<AnalysisSession> session = NewAdminSession();
-    ASSERT_TRUE(session->OpenStorage(dir).ok());
-    for (const auto& step : WorkloadSteps()) ASSERT_TRUE(step(*session).ok());
-    ASSERT_TRUE(session->Checkpoint().ok());
-  }
-  std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
-  ASSERT_TRUE(recovered->OpenStorage(dir).ok());
-  Result<store::RecoverySummary> summary = recovered->StorageRecovery();
-  ASSERT_TRUE(summary.ok());
-  EXPECT_EQ(summary->wal_records_replayed, 0u);
-  EXPECT_TRUE(summary->snapshot_loaded);
-  EXPECT_EQ(summary->generation, 2u);
-
-  std::unique_ptr<AnalysisSession> reference = NewAdminSession();
-  for (const auto& step : WorkloadSteps()) ASSERT_TRUE(step(*reference).ok());
-  EXPECT_EQ(Fingerprint(*recovered, "ckpt_rec"),
-            Fingerprint(*reference, "ckpt_ref"));
-
-  // The recovered session keeps working and logging.
-  ASSERT_TRUE(recovered->Aggregate("brain", "post_sumy").ok());
-  ASSERT_TRUE(recovered->CloseStorage().ok());
-}
+// ---------- attach ----------
 
 TEST(RecoveryTest, OpenStorageRequiresAdmin) {
   AnalysisSession session("admin", "secret");
@@ -216,17 +64,84 @@ TEST(RecoveryTest, OpenStorageRequiresAdmin) {
 }
 
 TEST(RecoveryTest, DoubleAttachFails) {
-  std::unique_ptr<AnalysisSession> session = NewAdminSession();
+  std::unique_ptr<AnalysisSession> session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(FreshDir("attach1")).ok());
   EXPECT_TRUE(
       session->OpenStorage(FreshDir("attach2")).IsFailedPrecondition());
 }
 
+// ---------- clean restarts ----------
+
+// A corpus run to its end, closed and reopened, recovers the reference's
+// catalog; the summary counts what recovery did: one generation per
+// checkpoint, and a replay of the records acknowledged after the last one.
+// The recovered session keeps taking logged writes.
+class CleanRestartTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(CleanRestartTest, RecoversTheWholeCorpus) {
+  const Reference& reference = LoggedReference(GetParam());
+  const std::vector<Command>& corpus = reference.corpus();
+  const std::string dir = FreshDir("store");
+  ASSERT_EQ(RunOnStorage(reference, dir, store::FileEnv::Default()),
+            corpus.size());
+
+  uint64_t checkpoints = 0;
+  uint64_t tail = 0;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    if (corpus[i].op == "checkpoint") {
+      ++checkpoints;
+      tail = 0;
+    } else if (reference.steps()[i].code == StatusCode::kOk) {
+      ++tail;
+    }
+  }
+
+  std::unique_ptr<AnalysisSession> recovered = AdminSession();
+  ASSERT_TRUE(recovered->OpenStorage(dir).ok());
+  EXPECT_TRUE(SameCatalog(Fingerprint(*recovered),
+                          reference.FingerprintAt(corpus.size())));
+  Result<store::RecoverySummary> summary = recovered->StorageRecovery();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->generation, checkpoints);
+  EXPECT_EQ(summary->snapshot_loaded, checkpoints > 0);
+  EXPECT_EQ(summary->wal_records_replayed, tail);
+  EXPECT_FALSE(summary->wal_torn_tail);
+
+  // The recovered session keeps logging: its writes replay on the next
+  // open, and after a checkpoint nothing is left to replay.
+  ASSERT_TRUE(recovered
+                  ->CreateTissueDataSet(sage::TissueType::kBrain,
+                                        /*replace=*/true)
+                  .ok());
+  ASSERT_TRUE(
+      recovered->Aggregate("brain", "post_sumy", /*replace=*/true).ok());
+  const std::string logged = Fingerprint(*recovered);
+  ASSERT_TRUE(recovered->CloseStorage().ok());
+  std::unique_ptr<AnalysisSession> reopened = AdminSession();
+  ASSERT_TRUE(reopened->OpenStorage(dir).ok());
+  EXPECT_TRUE(SameCatalog(Fingerprint(*reopened), logged));
+  EXPECT_EQ(reopened->StorageRecovery()->wal_records_replayed, tail + 2);
+
+  ASSERT_TRUE(reopened->Checkpoint().ok());
+  ASSERT_TRUE(reopened->CloseStorage().ok());
+  std::unique_ptr<AnalysisSession> snapshot_only = AdminSession();
+  ASSERT_TRUE(snapshot_only->OpenStorage(dir).ok());
+  EXPECT_TRUE(SameCatalog(Fingerprint(*snapshot_only), logged));
+  summary = snapshot_only->StorageRecovery();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->generation, checkpoints + 1);
+  EXPECT_TRUE(summary->snapshot_loaded);
+  EXPECT_EQ(summary->wal_records_replayed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CleanRestartTest,
+                         testing::ValuesIn(support::kCorpusSeeds));
+
 // ---------- failed writes ----------
 
 TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
-  std::string dir = FreshDir("failed_writes");
-  std::unique_ptr<AnalysisSession> live = NewAdminSession();
+  std::string dir = FreshDir("live");
+  std::unique_ptr<AnalysisSession> live = AdminSession();
   ASSERT_TRUE(live->OpenStorage(dir).ok());
   // A failing write changes neither the writer's catalog nor the
   // readers' epoch.
@@ -238,7 +153,7 @@ TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
     EXPECT_EQ(live->SnapshotTableNames(), published);
   };
 
-  ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
+  ASSERT_TRUE(live->LoadDataSet(Panel()).ok());
   ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   ASSERT_TRUE(live->CreateCustomDataSet("X", {1, 2, 3}).ok());
   // Exported now, applied below: its tables differ from the live ones.
@@ -279,12 +194,35 @@ TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
   ASSERT_TRUE(live->Aggregate("X", "XS2").ok());
   ASSERT_TRUE(live->GetGap("G_0").ok());
 
-  const auto live_fingerprint = Fingerprint(*live, "failed_live");
+  const std::string live_fingerprint = Fingerprint(*live);
   ASSERT_TRUE(live->CloseStorage().ok());
   live.reset();
-  std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
+  std::unique_ptr<AnalysisSession> recovered = AdminSession();
   ASSERT_TRUE(recovered->OpenStorage(dir).ok());
-  EXPECT_EQ(Fingerprint(*recovered, "failed_recovered"), live_fingerprint);
+  EXPECT_TRUE(SameCatalog(Fingerprint(*recovered), live_fingerprint));
+}
+
+// A data set whose counts the library text cannot hold is refused before
+// it is logged: the store still opens, and nothing replays.
+TEST(RecoveryTest, UnreadableCountsAreRefusedBeforeLogging) {
+  const std::string dir = FreshDir("counts");
+  std::unique_ptr<AnalysisSession> live = AdminSession();
+  ASSERT_TRUE(live->OpenStorage(dir).ok());
+  const sage::SageLibrary& first = Panel().library(0);
+  for (double count : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(), -2.0}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    sage::SageDataSet dataset = Panel();
+    dataset.mutable_library(0).SetCount(first.entries().front().tag, count);
+    EXPECT_TRUE(live->LoadDataSet(std::move(dataset)).IsInvalidArgument());
+    EXPECT_FALSE(live->DataSet().ok());
+  }
+  ASSERT_TRUE(live->CloseStorage().ok());
+
+  std::unique_ptr<AnalysisSession> reopened = AdminSession();
+  ASSERT_TRUE(reopened->OpenStorage(dir).ok());
+  EXPECT_EQ(reopened->StorageRecovery()->wal_records_replayed, 0u);
+  EXPECT_FALSE(reopened->DataSet().ok());
 }
 
 // ---------- replay decoding ----------
@@ -292,8 +230,8 @@ TEST(RecoveryTest, FailedWritesLeaveTheSessionAsTheyFoundIt) {
 // Replay decodes through the command table the wire uses, so a logical
 // record carrying a value the wire refuses fails and stores nothing.
 TEST(RecoveryTest, ReplayRefusesOutOfRangeParameters) {
-  std::unique_ptr<AnalysisSession> session = NewAdminSession();
-  ASSERT_TRUE(session->LoadDataSet(TestDataSet()).ok());
+  std::unique_ptr<AnalysisSession> session = AdminSession();
+  ASSERT_TRUE(session->LoadDataSet(Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBreast).ok());
   ASSERT_TRUE(session->Aggregate("brain", "brain_sumy").ok());
@@ -335,115 +273,94 @@ TEST(RecoveryTest, ReplayRefusesOutOfRangeParameters) {
   EXPECT_TRUE(session->GetGap("g1_5").ok());
 }
 
-// control_groups and initialize are logged kinds the workload above never
-// produces: the recovered catalog must still equal the live one.
-TEST(RecoveryTest, ControlGroupsAndInitializeReplay) {
-  std::string dir = FreshDir("control_init");
-  std::unique_ptr<AnalysisSession> live = NewAdminSession();
-  ASSERT_TRUE(live->OpenStorage(dir).ok());
-  ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
-  ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
-  ASSERT_TRUE(live->Aggregate("brain", "wiped_sumy").ok());
-  ASSERT_TRUE(live->InitializeDatabase().ok());
-
-  ASSERT_TRUE(live->LoadDataSet(TestDataSet()).ok());
-  ASSERT_TRUE(live->CreateTissueDataSet(sage::TissueType::kBrain).ok());
-  ASSERT_TRUE(live->GenerateMetadata("brain", 25.0, "meta").ok());
-  Result<std::vector<std::string>> mined =
-      live->CalculateFascicles("brain", "meta", 150, 6, 3, "F");
-  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
-  // Control groups form only over a pure fascicle; the impure ones fail
-  // and log nothing.
-  size_t formed = 0;
-  for (const std::string& fascicle : *mined) {
-    if (live->FormControlGroups("brain", fascicle).ok()) ++formed;
-  }
-  ASSERT_GT(formed, 0u);
-  EXPECT_TRUE(live->GetSumy("wiped_sumy").status().IsNotFound());
-
-  const auto live_fingerprint = Fingerprint(*live, "control_live");
-  ASSERT_TRUE(live->CloseStorage().ok());
-  live.reset();
-  std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
-  ASSERT_TRUE(recovered->OpenStorage(dir).ok());
-  Result<store::RecoverySummary> summary = recovered->StorageRecovery();
-  ASSERT_TRUE(summary.ok());
-  EXPECT_FALSE(summary->snapshot_loaded);
-  EXPECT_EQ(summary->wal_records_replayed, 8u + formed);
-  EXPECT_EQ(Fingerprint(*recovered, "control_recovered"), live_fingerprint);
-}
-
 // ---------- the kill-point matrix ----------
 
-class KillPointMatrixTest
-    : public testing::TestWithParam<FaultInjectionEnv::FaultKind> {};
+/// Interrupts the corpus at every mutating file-system operation it
+/// performs, with one fault kind, and recovers with the real file system:
+/// the catalog must be the reference's at the acknowledged prefix.
+void RunKillPointMatrix(uint64_t seed, FaultInjectionEnv::FaultKind kind) {
+  const Reference& reference = LoggedReference(seed);
+  const size_t steps = reference.corpus().size();
 
-TEST_P(KillPointMatrixTest, RecoversToCommittedPrefix) {
-  const FaultInjectionEnv::FaultKind kind = GetParam();
-
-  // Dry run: count the mutating file-system operations the workload
-  // performs — that is the matrix dimension.
+  // Dry run: count the fault points, the matrix dimension.
   FaultInjectionEnv probe(store::FileEnv::Default());
-  {
-    std::string dir = FreshDir("probe");
-    size_t committed = RunWorkload(dir, &probe);
-    ASSERT_EQ(committed, WorkloadSteps().size());
-  }
+  ASSERT_EQ(RunOnStorage(reference, FreshDir("probe"), &probe), steps);
   const uint64_t points = probe.FaultPointsSeen();
   ASSERT_GT(points, 10u);
 
-  // Reference fingerprints for every possible committed prefix, built
-  // lazily — most kill points land on a handful of prefixes.
-  std::map<size_t, std::map<std::string, std::string>> references;
-  auto reference_for = [&](size_t committed) {
-    auto it = references.find(committed);
-    if (it != references.end()) return it->second;
-    std::unique_ptr<AnalysisSession> session = NewAdminSession();
-    std::vector<std::function<Status(AnalysisSession&)>> steps =
-        WorkloadSteps();
-    for (size_t i = 0; i < committed; ++i) {
-      EXPECT_TRUE(steps[i](*session).ok()) << "reference step " << i;
-    }
-    return references
-        .emplace(committed,
-                 Fingerprint(*session, "ref" + std::to_string(committed)))
-        .first->second;
-  };
-
   for (uint64_t point = 0; point < points; ++point) {
     SCOPED_TRACE("fault point " + std::to_string(point));
-    std::string dir = FreshDir("matrix");
-
+    const std::string dir = FreshDir("matrix");
     FaultInjectionEnv env(store::FileEnv::Default());
     env.ArmFault(point, kind);
-    size_t committed = RunWorkload(dir, &env);
-    ASSERT_TRUE(env.Killed());  // every point in the matrix actually fires
-    ASSERT_LT(committed, WorkloadSteps().size());
+    // Every point in the matrix fires and cuts the run short, except one
+    // in the best-effort cleanup that ends a checkpoint: that still
+    // acknowledges it, so only a corpus ending in a checkpoint can be
+    // acknowledged whole.
+    const size_t acked = RunOnStorage(reference, dir, &env);
+    ASSERT_TRUE(env.Killed());
+    if (acked == steps) {
+      ASSERT_EQ(reference.corpus().back().op, "checkpoint");
+    }
 
     // Reboot: recover with the real file system.
-    std::unique_ptr<AnalysisSession> recovered = NewAdminSession();
+    std::unique_ptr<AnalysisSession> recovered = AdminSession();
     Status opened = recovered->OpenStorage(dir);
     ASSERT_TRUE(opened.ok()) << opened.ToString();
-    ASSERT_EQ(Fingerprint(*recovered, "rec"), reference_for(committed));
+    ASSERT_TRUE(SameCatalog(Fingerprint(*recovered),
+                            reference.FingerprintAt(acked)))
+        << "acknowledged prefix " << acked;
   }
 }
 
+const char* FaultKindName(FaultInjectionEnv::FaultKind kind) {
+  switch (kind) {
+    case FaultInjectionEnv::FaultKind::kKill:
+      return "Kill";
+    case FaultInjectionEnv::FaultKind::kShortWrite:
+      return "ShortWrite";
+    case FaultInjectionEnv::FaultKind::kFailSync:
+      return "FailSync";
+  }
+  return "Unknown";
+}
+
+using MatrixCell = std::tuple<uint64_t, FaultInjectionEnv::FaultKind>;
+
+std::string CellName(const testing::TestParamInfo<MatrixCell>& info) {
+  return "Seed" + std::to_string(std::get<0>(info.param)) +
+         FaultKindName(std::get<1>(info.param));
+}
+
+class KillPointMatrixTest : public testing::TestWithParam<MatrixCell> {};
+
+TEST_P(KillPointMatrixTest, RecoversToAcknowledgedPrefix) {
+  RunKillPointMatrix(std::get<0>(GetParam()), std::get<1>(GetParam()));
+}
+
+// ctest crashes each seed with one fault kind, so every kind runs once.
 INSTANTIATE_TEST_SUITE_P(
-    AllFaultKinds, KillPointMatrixTest,
-    testing::Values(FaultInjectionEnv::FaultKind::kKill,
-                    FaultInjectionEnv::FaultKind::kShortWrite,
-                    FaultInjectionEnv::FaultKind::kFailSync),
-    [](const testing::TestParamInfo<FaultInjectionEnv::FaultKind>& info) {
-      switch (info.param) {
-        case FaultInjectionEnv::FaultKind::kKill:
-          return "Kill";
-        case FaultInjectionEnv::FaultKind::kShortWrite:
-          return "ShortWrite";
-        case FaultInjectionEnv::FaultKind::kFailSync:
-          return "FailSync";
-      }
-      return "Unknown";
-    });
+    Seeds, KillPointMatrixTest,
+    testing::Values(MatrixCell{1, FaultInjectionEnv::FaultKind::kKill},
+                    MatrixCell{2, FaultInjectionEnv::FaultKind::kShortWrite},
+                    MatrixCell{3, FaultInjectionEnv::FaultKind::kFailSync}),
+    CellName);
+
+// The sweep: more seeds, every fault kind each. CI runs it with
+// --gtest_also_run_disabled_tests.
+TEST(KillPointSweep, DISABLED_EverySeedEveryFaultKind) {
+  for (uint64_t seed = 4; seed <= 9; ++seed) {
+    for (FaultInjectionEnv::FaultKind kind :
+         {FaultInjectionEnv::FaultKind::kKill,
+          FaultInjectionEnv::FaultKind::kShortWrite,
+          FaultInjectionEnv::FaultKind::kFailSync}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                   FaultKindName(kind));
+      RunKillPointMatrix(seed, kind);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace gea

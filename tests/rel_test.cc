@@ -637,12 +637,14 @@ TEST(CatalogTest, ComputedTableRematerializesOnEveryRead) {
   EXPECT_TRUE(catalog.IsComputed("view"));
   EXPECT_FALSE(catalog.IsComputed("people"));
 
-  Result<const Table*> first = catalog.GetTable("view");
+  Result<Table> first = catalog.MaterializeTable("view");
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)->At(0, 0).AsInt(), 1);
-  Result<const Table*> second = catalog.GetTable("view");
+  EXPECT_EQ(first->At(0, 0).AsInt(), 1);
+  Result<Table> second = catalog.MaterializeTable("view");
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*second)->At(0, 0).AsInt(), 2);  // builder ran again
+  EXPECT_EQ(second->At(0, 0).AsInt(), 2);  // builder ran again
+  // A view has no stored copy to borrow, and asking runs no builder.
+  EXPECT_TRUE(catalog.GetTable("view").status().IsFailedPrecondition());
   EXPECT_EQ(builds, 2);
 }
 

@@ -1,12 +1,11 @@
-// Tests for SageLibrary, SageDataSet, the rotated ExpressionMatrix and the
-// relational stat builders.
+// Tests for SageLibrary, SageDataSet and the relational stat builders,
+// the rotated TAGS relation (Section 4.6.1) among them.
 
 #include <gtest/gtest.h>
 
 #include "rel/ops.h"
 #include "sage/dataset.h"
 #include "sage/library.h"
-#include "sage/matrix.h"
 #include "sage/stats.h"
 
 namespace gea::sage {
@@ -127,55 +126,8 @@ TEST(DataSetTest, SelectAndExcludeIds) {
   EXPECT_EQ(selected->NumLibraries(), 2u);
   EXPECT_EQ(selected->library(0).id(), 3);  // requested order
   EXPECT_TRUE(data.SelectByIds({99}).status().IsNotFound());
+  EXPECT_TRUE(data.SelectByIds({1, 3, 1}).status().IsInvalidArgument());
   EXPECT_EQ(data.ExcludeIds({1, 3}).NumLibraries(), 1u);
-}
-
-// ---------- ExpressionMatrix (rotated layout, Section 4.6.1) ----------
-
-TEST(MatrixTest, ValuesLandInRightCells) {
-  SageDataSet data = TwoTissueData();
-  ExpressionMatrix m = ExpressionMatrix::FromDataSet(data);
-  EXPECT_EQ(m.NumTags(), 4u);
-  EXPECT_EQ(m.NumLibraries(), 3u);
-  // Tag 10 row: lib1=4, lib2=2, lib3=0.
-  size_t row = *m.FindTagRow(10);
-  EXPECT_DOUBLE_EQ(m.ValueAt(row, 0), 4.0);
-  EXPECT_DOUBLE_EQ(m.ValueAt(row, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m.ValueAt(row, 2), 0.0);
-}
-
-TEST(MatrixTest, TagRowIsContiguousAndMatches) {
-  SageDataSet data = TwoTissueData();
-  ExpressionMatrix m = ExpressionMatrix::FromDataSet(data);
-  size_t row = *m.FindTagRow(30);
-  std::span<const double> r = m.TagRow(row);
-  ASSERT_EQ(r.size(), 3u);
-  EXPECT_DOUBLE_EQ(r[1], 5.0);
-}
-
-TEST(MatrixTest, LibraryColumnIsConceptualRow) {
-  SageDataSet data = TwoTissueData();
-  ExpressionMatrix m = ExpressionMatrix::FromDataSet(data);
-  std::vector<double> col = m.LibraryColumn(0);  // brain_c1
-  // Tags sorted: 10, 20, 30, 40 -> 4, 1, 0, 0.
-  EXPECT_EQ(col, (std::vector<double>{4.0, 1.0, 0.0, 0.0}));
-}
-
-TEST(MatrixTest, RestrictedTagSet) {
-  SageDataSet data = TwoTissueData();
-  ExpressionMatrix m = ExpressionMatrix::FromDataSet(data, {10, 40});
-  EXPECT_EQ(m.NumTags(), 2u);
-  EXPECT_FALSE(m.FindTagRow(20).has_value());
-  EXPECT_DOUBLE_EQ(m.ValueAt(*m.FindTagRow(40), 2), 9.0);
-}
-
-TEST(MatrixTest, LibraryMetadataPreserved) {
-  SageDataSet data = TwoTissueData();
-  ExpressionMatrix m = ExpressionMatrix::FromDataSet(data);
-  EXPECT_EQ(m.library(2).name, "breast_c1");
-  EXPECT_EQ(m.library(2).state, NeoplasticState::kCancer);
-  EXPECT_EQ(*m.FindLibraryColumn(2), 1u);
-  EXPECT_FALSE(m.FindLibraryColumn(42).has_value());
 }
 
 // ---------- Relational stat builders (Appendix IV schemas) ----------
@@ -208,6 +160,11 @@ TEST(StatsTest, TagsTableIsRotated) {
   EXPECT_EQ(t.schema().NumColumns(), 5u);
   EXPECT_EQ(t.Get(0, "TagNo")->AsInt(), 10);
   EXPECT_DOUBLE_EQ(t.Get(0, "brain_c1")->AsDouble(), 4.0);
+  EXPECT_DOUBLE_EQ(t.Get(0, "brain_n1")->AsDouble(), 2.0);
+  // An absent tag reads 0 (Section 4.2), and rows ascend by tag.
+  EXPECT_DOUBLE_EQ(t.Get(0, "breast_c1")->AsDouble(), 0.0);
+  EXPECT_EQ(t.Get(3, "TagNo")->AsInt(), 40);
+  EXPECT_DOUBLE_EQ(t.Get(3, "breast_c1")->AsDouble(), 9.0);
 }
 
 TEST(StatsTest, SageInfoTable) {

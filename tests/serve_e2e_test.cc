@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -25,45 +24,22 @@
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "obs/server.h"
-#include "sage/cleaning.h"
-#include "sage/generator.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea::serve {
 namespace {
 
-sage::SageDataSet CleanSmallData(uint64_t seed = 42) {
-  sage::GeneratorConfig config;
-  config.seed = seed;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
-  return std::move(synth.dataset);
-}
-
-std::string FreshDir(const std::string& tag) {
-  std::string dir = testing::TempDir() + "/gea_serve_e2e_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-std::unique_ptr<workbench::AnalysisSession> AdminSession() {
-  auto session =
-      std::make_unique<workbench::AnalysisSession>("admin", "secret");
-  EXPECT_TRUE(session
-                  ->Login("admin", "secret",
-                          workbench::AccessLevel::kAdministrator)
-                  .ok());
-  return session;
-}
+using support::AdminSession;
+using support::FreshDir;
 
 TEST(ServeE2eTest, ConcurrentClientsStopMidLoadRecoverAcked) {
   const std::string dir = FreshDir("durability");
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir).ok());
-  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   ASSERT_TRUE(
       session->AddUser("reader", "pw", workbench::AccessLevel::kUser).ok());
@@ -163,7 +139,7 @@ TEST(ServeE2eTest, ReadersNeverBlockBehindCheckpointOrWriterBurst) {
   const std::string dir = FreshDir("mvcc");
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir).ok());
-  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
   // Fatten the catalog so every checkpoint — snapshot encode + fsync +
   // rename, all under the exclusive session lock — takes real time.
@@ -352,7 +328,7 @@ TEST(ServeE2eTest, TracedRunExportsValidChromeTrace) {
   const std::string dir = FreshDir("trace");
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir).ok());
-  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
 
   ServerOptions options;
@@ -431,7 +407,7 @@ TEST(ServeE2eTest, EveryCommittedWriteRecordsItsCommitSpans) {
   const std::string dir = FreshDir("commit_spans");
   auto session = AdminSession();
   ASSERT_TRUE(session->OpenStorage(dir).ok());
-  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
 
   ServerOptions options;
@@ -501,7 +477,7 @@ TEST(ServeE2eTest, LockWaitAndMemoryAgreeAcrossAllSurfaces) {
   obs::ScopedLogCapture capture(obs::LogLevel::kWarn);
 
   auto session = AdminSession();
-  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
   ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
 
   ServerOptions options;
@@ -615,7 +591,7 @@ TEST(ServeE2eTest, StatRequestsViewQueryableOverTheWire) {
   obs::ScopedTraceSample sample(1);
 
   auto session = AdminSession();
-  ASSERT_TRUE(session->LoadDataSet(CleanSmallData()).ok());
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
 
   QueryServer server(session.get());
   ASSERT_TRUE(server.Start().ok());
@@ -648,6 +624,45 @@ TEST(ServeE2eTest, StatRequestsViewQueryableOverTheWire) {
 
   server.Stop();
 }
+
+// ---------- the served corpus ----------
+
+// Seeded served corpora (tests/support) through QueryClient against a
+// server over a session with storage: every step answers as the direct
+// reference did, and the served catalog ends as the reference's.
+class ServedCorpusTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(ServedCorpusTest, AnswersAsTheDirectReference) {
+  const support::Reference reference(GetParam(), support::Scope::kServed);
+  auto session = AdminSession();
+  ASSERT_TRUE(session->OpenStorage(FreshDir("store")).ok());
+  // The corpus opens with load_dataset, which is no wire command.
+  const support::StepResult loaded =
+      support::RunStep(*session, reference.corpus().front());
+  QueryServer server(session.get());
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.Port()).ok());
+  ASSERT_TRUE(client.Login("admin", "secret", "admin").ok());
+  const size_t acked = support::RunAckedPrefix(
+      reference, [&](const support::Command& command) {
+        if (command.op == "load_dataset") return loaded;
+        return support::FromResponse(client.Call(command.op, command.params));
+      });
+  EXPECT_EQ(acked, reference.corpus().size());
+  EXPECT_TRUE(support::SameCatalog(
+      support::Fingerprint(*session),
+      reference.FingerprintAt(reference.corpus().size())));
+  server.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServedCorpusTest,
+                         testing::ValuesIn(support::kCorpusSeeds));
+
+// The sweep over more seeds; CI runs it with
+// --gtest_also_run_disabled_tests.
+INSTANTIATE_TEST_SUITE_P(DISABLED_Sweep, ServedCorpusTest,
+                         testing::Range<uint64_t>(4, 40));
 
 }  // namespace
 }  // namespace gea::serve

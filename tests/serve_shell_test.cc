@@ -5,14 +5,14 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "dist/repl.h"
 #include "dist/router.h"
-#include "sage/cleaning.h"
-#include "sage/generator.h"
 #include "serve/server.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea::serve {
@@ -26,23 +26,14 @@ std::string ReadFileOrEmpty(const std::string& path) {
 }
 
 TEST(ServeShellTest, ScriptedSessionEndToEnd) {
-  sage::GeneratorConfig config;
-  config.seed = 42;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
+  std::unique_ptr<workbench::AnalysisSession> session = support::AdminSession();
+  ASSERT_TRUE(session->LoadDataSet(support::Panel()).ok());
+  ASSERT_TRUE(session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
 
-  workbench::AnalysisSession session("admin", "secret");
-  ASSERT_TRUE(
-      session.Login("admin", "secret", workbench::AccessLevel::kAdministrator)
-          .ok());
-  ASSERT_TRUE(session.LoadDataSet(std::move(synth.dataset)).ok());
-  ASSERT_TRUE(session.CreateTissueDataSet(sage::TissueType::kBrain).ok());
-
-  QueryServer server(&session);
+  QueryServer server(session.get());
   // A hub makes the replication surface visible to the shell: \role shows
   // the role row and \lag reads the gea_stat_replication view.
-  dist::ReplicationHub hub(&session, &server);
+  dist::ReplicationHub hub(session.get(), &server);
   ASSERT_TRUE(server.Start().ok());
 
   const std::string script_path = testing::TempDir() + "/gea_shell_script.txt";
@@ -95,25 +86,16 @@ TEST(ServeShellTest, ScriptedSessionEndToEnd) {
   EXPECT_NE(output.find("shipped_lsn"), std::string::npos) << output;
 
   // The shell's mutation really landed in the shared session.
-  EXPECT_TRUE(session.GetSumy("ShellSumy").ok());
+  EXPECT_TRUE(session->GetSumy("ShellSumy").ok());
 }
 
 // The same scripted shell against a router front end: \role shows the
 // router role and \shards renders the shard topology.
 TEST(ServeShellTest, ScriptedSessionAgainstARouter) {
-  sage::GeneratorConfig config;
-  config.seed = 42;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
-
-  workbench::AnalysisSession worker_session("admin", "secret");
-  ASSERT_TRUE(worker_session
-                  .Login("admin", "secret",
-                         workbench::AccessLevel::kAdministrator)
-                  .ok());
-  ASSERT_TRUE(worker_session.LoadDataSet(std::move(synth.dataset)).ok());
-  QueryServer worker(&worker_session);
+  std::unique_ptr<workbench::AnalysisSession> worker_session =
+      support::AdminSession();
+  ASSERT_TRUE(worker_session->LoadDataSet(support::Panel()).ok());
+  QueryServer worker(worker_session.get());
   ASSERT_TRUE(worker.Start().ok());
 
   dist::RouterServer::Options options;
@@ -149,7 +131,7 @@ TEST(ServeShellTest, ScriptedSessionAgainstARouter) {
   EXPECT_NE(output.find("router"), std::string::npos) << output;
   EXPECT_NE(output.find("shards ("), std::string::npos) << output;
   EXPECT_NE(output.find("created RoutedSumy"), std::string::npos) << output;
-  EXPECT_TRUE(worker_session.GetSumy("RoutedSumy").ok());
+  EXPECT_TRUE(worker_session->GetSumy("RoutedSumy").ok());
 }
 
 }  // namespace

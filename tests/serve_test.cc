@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <optional>
@@ -22,12 +23,11 @@
 #include "common/net.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
-#include "sage/cleaning.h"
-#include "sage/generator.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "store/format.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 
 namespace gea::serve {
@@ -252,44 +252,18 @@ TEST_F(FramingTest, OversizedFrameRejectedBeforeAllocation) {
 
 // ---------- Server fixture ----------
 
-sage::SageDataSet CleanSmallData(uint64_t seed = 42) {
-  sage::GeneratorConfig config;
-  config.seed = seed;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
-  return std::move(synth.dataset);
-}
-
 class ServeTest : public testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    data_ = new sage::SageDataSet(CleanSmallData());
-  }
-  static void TearDownTestSuite() {
-    delete data_;
-    data_ = nullptr;
-  }
-
   std::unique_ptr<workbench::AnalysisSession> MakeSession() {
-    auto session =
-        std::make_unique<workbench::AnalysisSession>("admin", "secret");
-    EXPECT_TRUE(session
-                    ->Login("admin", "secret",
-                            workbench::AccessLevel::kAdministrator)
-                    .ok());
-    EXPECT_TRUE(session->LoadDataSet(*data_).ok());
+    auto session = support::AdminSession();
+    EXPECT_TRUE(session->LoadDataSet(support::Panel()).ok());
     EXPECT_TRUE(
         session->CreateTissueDataSet(sage::TissueType::kBrain).ok());
     EXPECT_TRUE(
         session->AddUser("reader", "pw", workbench::AccessLevel::kUser).ok());
     return session;
   }
-
-  static sage::SageDataSet* data_;
 };
-
-sage::SageDataSet* ServeTest::data_ = nullptr;
 
 TEST_F(ServeTest, StartRequiresLoggedInSession) {
   workbench::AnalysisSession session("admin", "secret");
@@ -392,6 +366,125 @@ TEST_F(ServeTest, UnknownCommandAndBadParams) {
                {"min_size", "3"}, {"out_prefix", "N"}});
   ASSERT_TRUE(nan_meta.ok());
   EXPECT_EQ(nan_meta->code, StatusCode::kNotFound) << nan_meta->message;
+}
+
+// Each wire command leaves the catalog its library call leaves, and a
+// parameter the wire leaves out means the library's default: a `mine`
+// without `algorithm` mines greedy and a `top_gap` without `mode` ranks
+// by magnitude. The numbered parameters name the library's enumerators.
+TEST_F(ServeTest, WireCommandsMeanTheirLibraryCalls) {
+  using workbench::AnalysisSession;
+  std::vector<int> ids;
+  std::string libs;
+  for (size_t i = 0; i < 3; ++i) {
+    ids.push_back(support::Panel().library(i).id());
+    libs += (i > 0 ? "," : "") + std::to_string(ids.back());
+  }
+  auto mine = [](const std::string& prefix, const std::string& min_size) {
+    return std::map<std::string, std::string>{{"dataset", "brain"},
+                                              {"meta", "meta"},
+                                              {"min_compact_tags", "150"},
+                                              {"batch_size", "6"},
+                                              {"min_size", min_size},
+                                              {"out_prefix", prefix}};
+  };
+  std::map<std::string, std::string> exact = mine("E", "6");
+  exact["algorithm"] = "0";
+  struct Step {
+    std::string op;
+    std::map<std::string, std::string> params;
+    std::function<Status(AnalysisSession&)> call;
+  };
+  const std::vector<Step> steps = {
+      {"tissue_dataset",
+       {{"tissue", "breast"}},
+       [](AnalysisSession& s) {
+         return s.CreateTissueDataSet(sage::TissueType::kBreast);
+       }},
+      {"generate_metadata",
+       {{"dataset", "brain"}, {"percent", "25"}, {"meta", "meta"}},
+       [](AnalysisSession& s) {
+         return s.GenerateMetadata("brain", 25.0, "meta");
+       }},
+      {"aggregate",
+       {{"enum", "brain"}, {"out", "s1"}},
+       [](AnalysisSession& s) { return s.Aggregate("brain", "s1"); }},
+      {"aggregate",
+       {{"enum", "breast"}, {"out", "s2"}},
+       [](AnalysisSession& s) { return s.Aggregate("breast", "s2"); }},
+      {"diff",
+       {{"sumy1", "s1"}, {"sumy2", "s2"}, {"gap", "g"}},
+       [](AnalysisSession& s) { return s.CreateGap("s1", "s2", "g"); }},
+      {"diff",
+       {{"sumy1", "s2"}, {"sumy2", "s1"}, {"gap", "g2"}},
+       [](AnalysisSession& s) { return s.CreateGap("s2", "s1", "g2"); }},
+      {"top_gap",
+       {{"gap", "g"}, {"x", "5"}},
+       [](AnalysisSession& s) { return s.CalculateTopGap("g", 5).status(); }},
+      {"top_gap",
+       {{"gap", "g2"}, {"x", "4"}, {"mode", "2"}},
+       [](AnalysisSession& s) {
+         return s.CalculateTopGap("g2", 4, core::TopGapMode::kLowest)
+             .status();
+       }},
+      {"custom_dataset",
+       {{"name", "X"}, {"libs", libs}},
+       [&ids](AnalysisSession& s) { return s.CreateCustomDataSet("X", ids); }},
+      {"mine", mine("F", "3"),
+       [](AnalysisSession& s) {
+         return s.CalculateFascicles("brain", "meta", 150, 6, 3, "F")
+             .status();
+       }},
+      {"mine", exact,
+       [](AnalysisSession& s) {
+         return s
+             .CalculateFascicles("brain", "meta", 150, 6, 6, "E",
+                                 cluster::FascicleParams::Algorithm::kExact)
+             .status();
+       }},
+      {"populate",
+       {{"sumy", "s1"}, {"base", "X"}, {"out", "p"}},
+       [](AnalysisSession& s) { return s.Populate("s1", "X", "p"); }},
+      {"compare_gaps",
+       {{"a", "g"}, {"b", "g2"}, {"kind", "0"}, {"out", "cmp"}},
+       [](AnalysisSession& s) {
+         return s.CompareGapTables("g", "g2", core::GapCompareKind::kUnion,
+                                   "cmp");
+       }},
+      {"compare_gaps",
+       {{"a", "g"}, {"b", "g2"}, {"kind", "2"}, {"out", "cmp2"}},
+       [](AnalysisSession& s) {
+         return s.CompareGapTables("g", "g2",
+                                   core::GapCompareKind::kDifference, "cmp2");
+       }},
+      {"gap_query",
+       {{"compared", "cmp"}, {"query", "1"}, {"out", "q"}},
+       [](AnalysisSession& s) {
+         return s.RunGapQuery("cmp", core::GapCompareQuery::kHigherInAInBoth,
+                              "q");
+       }},
+  };
+
+  auto served = MakeSession();
+  auto direct = MakeSession();
+  QueryServer server(served.get());
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.Port()).ok());
+  ASSERT_TRUE(client.Login("admin", "secret", "admin").ok());
+  for (const Step& step : steps) {
+    Result<Response> response = client.Call(step.op, step.params);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << step.op << ": " << response->message;
+    Status called = step.call(*direct);
+    ASSERT_TRUE(called.ok()) << step.op << ": " << called.ToString();
+  }
+  server.Stop();
+  EXPECT_TRUE(support::SameCatalog(support::Fingerprint(*served),
+                                   support::Fingerprint(*direct)));
+  // Both mines found fascicles, so the comparison covers what they chose.
+  EXPECT_TRUE(direct->GetEnum("F_1").ok());
+  EXPECT_TRUE(direct->GetEnum("E_1").ok());
 }
 
 TEST_F(ServeTest, OperatorCommandsEndToEnd) {

@@ -201,10 +201,10 @@ TEST(StatViewsTest, RegisteredViewsAreLiveAndReadOnly) {
   const std::string name = "gea.test.statviews_live";
   MetricsRegistry::Global().GetCounter(name).Add(1);
   auto value_of = [&catalog, &name]() -> int64_t {
-    Result<const rel::Table*> view = catalog.GetTable("gea_stat_counters");
+    Result<rel::Table> view = catalog.MaterializeTable("gea_stat_counters");
     EXPECT_TRUE(view.ok());
-    for (size_t r = 0; r < (*view)->NumRows(); ++r) {
-      if ((*view)->At(r, 0).AsString() == name) return (*view)->At(r, 1).AsInt();
+    for (size_t r = 0; r < view->NumRows(); ++r) {
+      if (view->At(r, 0).AsString() == name) return view->At(r, 1).AsInt();
     }
     return -1;
   };

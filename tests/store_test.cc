@@ -26,17 +26,14 @@
 #include "store/format.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
+#include "support/corpus.h"
 
 namespace gea::store {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string FreshDir(const std::string& tag) {
-  std::string dir = testing::TempDir() + "/gea_store_" + tag;
-  fs::remove_all(dir);
-  return dir;
-}
+using support::FreshDir;
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

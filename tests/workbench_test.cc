@@ -8,8 +8,7 @@
 
 #include "obs/export.h"
 #include "obs/log.h"
-#include "sage/cleaning.h"
-#include "sage/generator.h"
+#include "support/corpus.h"
 #include "workbench/session.h"
 #include "workbench/users.h"
 
@@ -86,39 +85,20 @@ TEST(UserDatabaseTest, Introspection) {
 
 // ---------- AnalysisSession ----------
 
-sage::SageDataSet CleanSmallData(uint64_t seed = 42) {
-  sage::GeneratorConfig config;
-  config.seed = seed;
-  config.panels = sage::SyntheticSageGenerator::SmallPanels();
-  sage::SyntheticSage synth = sage::SyntheticSageGenerator(config).Generate();
-  sage::CleanAndNormalize(synth.dataset);
-  return std::move(synth.dataset);
-}
-
 class SessionTest : public testing::Test {
  protected:
-  static void SetUpTestSuite() { data_ = new sage::SageDataSet(CleanSmallData()); }
-  static void TearDownTestSuite() {
-    delete data_;
-    data_ = nullptr;
-  }
-
   AnalysisSession LoggedInSession() {
     AnalysisSession session("admin", "secret");
     EXPECT_TRUE(
         session.Login("admin", "secret", AccessLevel::kAdministrator).ok());
-    EXPECT_TRUE(session.LoadDataSet(*data_).ok());
+    EXPECT_TRUE(session.LoadDataSet(support::Panel()).ok());
     return session;
   }
-
-  static sage::SageDataSet* data_;
 };
-
-sage::SageDataSet* SessionTest::data_ = nullptr;
 
 TEST_F(SessionTest, OperationsRequireLogin) {
   AnalysisSession session("admin", "secret");
-  EXPECT_TRUE(session.LoadDataSet(*data_).IsPermissionDenied());
+  EXPECT_TRUE(session.LoadDataSet(support::Panel()).IsPermissionDenied());
   EXPECT_TRUE(session.CreateTissueDataSet(sage::TissueType::kBrain)
                   .IsPermissionDenied());
   EXPECT_FALSE(session.IsLoggedIn());
@@ -149,7 +129,7 @@ TEST_F(SessionTest, AdministrationRequiresAdminLevel) {
   EXPECT_TRUE(session.SetConfiguration("db_path", "/x").IsPermissionDenied());
   EXPECT_TRUE(session.InitializeDatabase().IsPermissionDenied());
   // But analysis operations are available to plain users.
-  EXPECT_TRUE(session.LoadDataSet(*data_).ok());
+  EXPECT_TRUE(session.LoadDataSet(support::Panel()).ok());
   EXPECT_TRUE(session.CreateTissueDataSet(sage::TissueType::kBrain).ok());
 }
 
