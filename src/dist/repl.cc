@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "common/crc32.h"
 #include "obs/metrics.h"
 #include "obs/statviews.h"
 #include "rel/schema.h"
@@ -96,13 +95,14 @@ void UnregisterReplicationStatSource(const void* token) {
 
 // ---- Blob codecs ----
 
-std::string EncodeFrameBatch(const FrameBatch& batch) {
+std::string EncodeFrameBatch(uint64_t durable_lsn,
+                             const std::vector<EncodedFrame>& frames) {
   std::string blob;
-  store::PutU64(&blob, batch.durable_lsn);
-  store::PutU32(&blob, static_cast<uint32_t>(batch.frames.size()));
-  for (const ShippedFrame& frame : batch.frames) {
+  store::PutU64(&blob, durable_lsn);
+  store::PutU32(&blob, static_cast<uint32_t>(frames.size()));
+  for (const EncodedFrame& frame : frames) {
     store::PutU64(&blob, frame.lsn);
-    store::PutString(&blob, store::EncodeWalRecord(frame.record));
+    store::PutString(&blob, frame.framed);
   }
   return blob;
 }
@@ -112,21 +112,23 @@ Result<FrameBatch> DecodeFrameBatch(std::string_view blob) {
   FrameBatch batch;
   GEA_ASSIGN_OR_RETURN(batch.durable_lsn, reader.ReadU64());
   GEA_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
+  // A shipped frame takes at least its LSN, its string length and a frame
+  // header, so a count the blob cannot hold is refused before anything
+  // is reserved for it.
+  constexpr size_t kMinFrameBytes = 8 + 4 + store::kFrameHeaderBytes;
+  if (count > reader.remaining() / kMinFrameBytes) {
+    return Status::IoError("frame batch count " + std::to_string(count) +
+                           " exceeds its blob");
+  }
   batch.frames.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ShippedFrame frame;
     GEA_ASSIGN_OR_RETURN(frame.lsn, reader.ReadU64());
     GEA_ASSIGN_OR_RETURN(std::string framed, reader.ReadString());
     store::ByteReader frame_reader(framed);
-    GEA_ASSIGN_OR_RETURN(uint32_t length, frame_reader.ReadU32());
-    GEA_ASSIGN_OR_RETURN(uint32_t crc, frame_reader.ReadU32());
-    if (frame_reader.remaining() != length) {
+    GEA_ASSIGN_OR_RETURN(std::string_view body, frame_reader.ReadFrame());
+    if (!frame_reader.Done()) {
       return Status::IoError("shipped WAL frame length mismatch");
-    }
-    const std::string_view body(framed.data() + frame_reader.position(),
-                                length);
-    if (Crc32(body) != crc) {
-      return Status::IoError("shipped WAL frame failed its CRC check");
     }
     GEA_ASSIGN_OR_RETURN(frame.record, store::DecodeWalRecordBody(body));
     batch.frames.push_back(std::move(frame));
@@ -306,9 +308,9 @@ serve::Response ReplicationHub::HandleFrames(const serve::Request& request) {
           std::to_string(floor_lsn_)));
     }
   }
-  // Cut the batch straight from the buffered framed bytes — the blob
-  // layout matches EncodeFrameBatch, without a decode/re-encode round.
-  std::vector<const BufferedFrame*> picked;
+  // Cut the batch straight from the buffered framed bytes, without a
+  // decode/re-encode round.
+  std::vector<EncodedFrame> picked;
   size_t bytes = 0;
   for (const BufferedFrame& frame : buffer_) {
     if (frame.lsn <= from) continue;
@@ -317,17 +319,10 @@ serve::Response ReplicationHub::HandleFrames(const serve::Request& request) {
       break;
     }
     bytes += frame.framed.size();
-    picked.push_back(&frame);
-  }
-  std::string blob;
-  store::PutU64(&blob, shipped_lsn_);
-  store::PutU32(&blob, static_cast<uint32_t>(picked.size()));
-  for (const BufferedFrame* frame : picked) {
-    store::PutU64(&blob, frame->lsn);
-    store::PutString(&blob, frame->framed);
+    picked.push_back({frame.lsn, frame.framed});
   }
   serve::Response response;
-  response.text = std::move(blob);
+  response.text = EncodeFrameBatch(shipped_lsn_, picked);
   return response;
 }
 

@@ -62,10 +62,19 @@ struct FrameBatch {
   std::vector<ShippedFrame> frames;
 };
 
+/// One frame as it ships: the LSN and the record's WAL frame bytes
+/// (store::EncodeWalRecord), which the hub buffers once per record.
+struct EncodedFrame {
+  uint64_t lsn = 0;
+  std::string_view framed;
+};
+
 /// Frame-batch blob codec: u64 durable_lsn, u32 count, then per frame a
-/// u64 LSN and the record in its WAL framing (length + CRC32 + body), so
-/// the wire reuses the log's own integrity check.
-std::string EncodeFrameBatch(const FrameBatch& batch);
+/// u64 LSN and the record's WAL frame as a string, so the wire reuses
+/// the log's own integrity check. EncodeFrameBatch is the only writer of
+/// this layout; the decoder refuses a count the blob cannot hold.
+std::string EncodeFrameBatch(uint64_t durable_lsn,
+                             const std::vector<EncodedFrame>& frames);
 Result<FrameBatch> DecodeFrameBatch(std::string_view blob);
 
 /// Snapshot blob codec: u64 lsn then the EncodeSnapshot bytes.

@@ -3,7 +3,6 @@
 #include <iterator>
 #include <utility>
 
-#include "common/crc32.h"
 #include "common/net.h"
 #include "store/format.h"
 
@@ -59,11 +58,7 @@ std::string EncodeRequest(const Request& request) {
   store::PutU64(&out, request.request_id);
   store::PutU32(&out, request.deadline_ms);
   store::PutString(&out, request.op);
-  store::PutU32(&out, static_cast<uint32_t>(request.params.size()));
-  for (const auto& [key, value] : request.params) {
-    store::PutString(&out, key);
-    store::PutString(&out, value);
-  }
+  store::PutStringMap(&out, request.params);
   if (request.trace.has_value()) {
     store::PutU8(&out, 1);
     store::PutU64(&out, request.trace->trace_id);
@@ -81,12 +76,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
   GEA_ASSIGN_OR_RETURN(request.request_id, reader.ReadU64());
   GEA_ASSIGN_OR_RETURN(request.deadline_ms, reader.ReadU32());
   GEA_ASSIGN_OR_RETURN(request.op, reader.ReadString());
-  GEA_ASSIGN_OR_RETURN(uint32_t nparams, reader.ReadU32());
-  for (uint32_t i = 0; i < nparams; ++i) {
-    GEA_ASSIGN_OR_RETURN(std::string key, reader.ReadString());
-    GEA_ASSIGN_OR_RETURN(std::string value, reader.ReadString());
-    request.params[std::move(key)] = std::move(value);
-  }
+  GEA_ASSIGN_OR_RETURN(request.params, reader.ReadStringMap());
   GEA_ASSIGN_OR_RETURN(uint8_t has_trace, reader.ReadU8());
   if (has_trace == 1) {
     TraceContext trace;
@@ -183,10 +173,8 @@ bool PatchResponseTiming(std::string* payload, const StageBreakdown& timing) {
 
 std::string Frame(std::string_view payload) {
   std::string out;
-  out.reserve(8 + payload.size());
-  store::PutU32(&out, static_cast<uint32_t>(payload.size()));
-  store::PutU32(&out, Crc32(payload));
-  out.append(payload);
+  out.reserve(store::kFrameHeaderBytes + payload.size());
+  store::PutFrame(&out, payload);
   return out;
 }
 
@@ -199,14 +187,13 @@ Status WriteFrame(int fd, std::string_view payload) {
 }
 
 Result<std::optional<std::string>> ReadFrame(int fd) {
-  char header[8];
+  char header[store::kFrameHeaderBytes];
   GEA_ASSIGN_OR_RETURN(
       size_t got, net::RecvExact(fd, header, sizeof(header), /*eof_ok=*/true));
   if (got == 0) return std::optional<std::string>();  // clean EOF
 
-  store::ByteReader reader(std::string_view(header, sizeof(header)));
-  GEA_ASSIGN_OR_RETURN(uint32_t length, reader.ReadU32());
-  GEA_ASSIGN_OR_RETURN(uint32_t expected_crc, reader.ReadU32());
+  const std::string_view header_bytes(header, sizeof(header));
+  const uint32_t length = store::FrameBodyLength(header_bytes);
   if (length > kMaxPayloadBytes) {
     return Status::InvalidArgument("frame payload too large: " +
                                    std::to_string(length) + " bytes (max " +
@@ -216,9 +203,7 @@ Result<std::optional<std::string>> ReadFrame(int fd) {
   if (length > 0) {
     GEA_RETURN_IF_ERROR(net::RecvExact(fd, payload.data(), length).status());
   }
-  if (Crc32(payload) != expected_crc) {
-    return Status::IoError("frame CRC mismatch (corrupt or torn frame)");
-  }
+  GEA_RETURN_IF_ERROR(store::CheckFrameBody(header_bytes, payload));
   return std::optional<std::string>(std::move(payload));
 }
 

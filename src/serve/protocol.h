@@ -19,13 +19,13 @@ namespace gea::serve {
 /// framing trivial and still supports many concurrent clients because
 /// each connection gets its own reader thread on the server.
 ///
-/// Frame layout (all integers little-endian, as in the storage formats):
+/// Each payload travels in the storage formats' one checksummed frame
+/// (store/format.h's PutFrame):
 ///
 ///   u32 payload_length | u32 crc32(payload) | payload bytes
 ///
-/// The CRC is the same IEEE CRC-32 the WAL stamps on its records, so a
-/// torn or corrupted frame is detected and the connection is dropped
-/// instead of the server acting on garbage.
+/// so a torn or corrupted frame is detected and the connection is
+/// dropped instead of the server acting on garbage.
 ///
 /// There is one protocol version, kProtocolVersion; both decoders reject
 /// any other version byte, since every peer is built from this tree.
@@ -35,7 +35,9 @@ namespace gea::serve {
 ///   u64 request_id       echoed verbatim in the response
 ///   u32 deadline_ms      0 = no deadline; measured from receipt
 ///   str op               command name, e.g. "sql", "populate"
-///   u32 nparams, then nparams x (str key, str value)
+///   u32 nparams, then nparams x (str key, str value), keys strictly
+///                        ascending (store::PutStringMap); a repeated
+///                        or out-of-order key is refused
 ///   u8  has_trace        1 => a trace context follows
 ///   u64 trace_id         client-supplied id (0 = server assigns one)
 ///   u8  sampled          1 => force-sample this request server-side
@@ -143,7 +145,7 @@ bool PatchResponseTiming(std::string* payload, const StageBreakdown& timing);
 
 // ---- Framing over a socket ----
 
-/// Wraps `payload` in the length+CRC frame header.
+/// `payload` as one frame (store::PutFrame).
 std::string Frame(std::string_view payload);
 
 /// Writes one framed payload to `fd`.

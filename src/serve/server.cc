@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/statviews.h"
 #include "obs/trace.h"
+#include "store/format.h"
 
 namespace gea::serve {
 
@@ -378,8 +379,9 @@ void QueryServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
       break;
     }
     const std::string& payload = **frame;
-    stats_->bytes_in.fetch_add(payload.size() + 8, std::memory_order_relaxed);
-    BytesInCounter().Add(payload.size() + 8);
+    const size_t wire_bytes = payload.size() + store::kFrameHeaderBytes;
+    stats_->bytes_in.fetch_add(wire_bytes, std::memory_order_relaxed);
+    BytesInCounter().Add(wire_bytes);
 
     const uint64_t decode_start = obs::NowNanos();
     Result<Request> request = DecodeRequest(payload);
@@ -626,8 +628,9 @@ Status QueryServer::WriteResponse(Connection& conn, Response& response,
     (*stages)[obs::RequestStage::kWrite] = obs::NowNanos() - write_start;
   }
   if (status.ok()) {
-    stats_->bytes_out.fetch_add(payload.size() + 8, std::memory_order_relaxed);
-    BytesOutCounter().Add(payload.size() + 8);
+    const size_t wire_bytes = payload.size() + store::kFrameHeaderBytes;
+    stats_->bytes_out.fetch_add(wire_bytes, std::memory_order_relaxed);
+    BytesOutCounter().Add(wire_bytes);
   }
   return status;
 }

@@ -272,52 +272,38 @@ Result<StorageEngine::OpenResult> StorageEngine::Open(
   RecoverySummary& summary = result.summary;
   summary.directory = directory;
 
-  // Pick the committed generation. CURRENT is authoritative; if it is
-  // missing, or names a snapshot that will not decode, fall back to the
-  // highest snapshot on disk that does.
-  bool resolved = false;
+  // Pick the committed generation. CURRENT is authoritative; without a
+  // usable one (missing, or not a number) the highest snapshot on disk
+  // is, and only a directory without snapshots bootstraps at generation
+  // 0. Recovery deletes only what a crash can leave, so a snapshot that
+  // does not read fails Open before any file changes.
+  std::optional<uint64_t> committed;
   if (env->FileExists(engine.CurrentPath())) {
-    auto current = env->ReadFileToString(engine.CurrentPath());
-    if (current.ok()) {
-      if (auto generation = ParseGeneration(*current)) {
-        if (*generation == 0) {
-          engine.generation_ = 0;
-          resolved = true;
-        } else {
-          auto snapshot = ReadSnapshotFile(env, engine.SnapshotPath(*generation));
-          if (snapshot.ok()) {
-            engine.generation_ = *generation;
-            result.snapshot = std::move(*snapshot);
-            resolved = true;
-          }
-        }
-      }
-    }
+    GEA_ASSIGN_OR_RETURN(std::string current,
+                         env->ReadFileToString(engine.CurrentPath()));
+    committed = ParseGeneration(current);
   }
-  if (!resolved) {
+  const bool scan = !committed.has_value();
+  if (scan) {
     GEA_ASSIGN_OR_RETURN(std::vector<std::string> names,
                          env->ListDirectory(directory));
     // A brand-new (empty) directory is a normal bootstrap; anything else
     // here means CURRENT was missing or unusable and we had to scan.
     summary.used_fallback_scan = !names.empty();
-    std::vector<uint64_t> generations;
+    committed = 0;
     for (const std::string& name : names) {
       if (auto generation = SnapshotGeneration(name)) {
-        generations.push_back(*generation);
+        committed = std::max(*committed, *generation);
       }
     }
-    std::sort(generations.rbegin(), generations.rend());
-    for (uint64_t generation : generations) {
-      auto snapshot = ReadSnapshotFile(env, engine.SnapshotPath(generation));
-      if (snapshot.ok()) {
-        engine.generation_ = generation;
-        result.snapshot = std::move(*snapshot);
-        break;
-      }
-    }
-    // No decodable snapshot at all: bootstrap at generation 0 and let
-    // the WAL (if any) carry the whole history.
-
+  }
+  engine.generation_ = *committed;
+  if (engine.generation_ > 0) {
+    GEA_ASSIGN_OR_RETURN(result.snapshot,
+                         ReadSnapshotFile(env, engine.SnapshotPath(
+                                                   engine.generation_)));
+  }
+  if (scan) {
     // Repair CURRENT so it is authoritative from here on — otherwise
     // every reopen of a bootstrap (or scan-recovered) directory would
     // take this fallback path again.

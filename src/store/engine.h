@@ -119,10 +119,13 @@ class StorageEngine {
       std::function<void(uint64_t lsn, const WalRecord& record)>;
 
   /// Opens (creating if needed) a storage directory and runs recovery:
-  /// picks the committed generation (CURRENT, falling back to a scan of
-  /// the highest decodable snapshot), loads its snapshot, reads the WAL
-  /// tail, truncates any torn suffix in place, and leaves the WAL open
-  /// for appends. Also publishes the recovery summary.
+  /// picks the committed generation (CURRENT, falling back to the
+  /// highest snapshot on disk), loads its snapshot, reads the WAL tail,
+  /// truncates any torn suffix in place, and leaves the WAL open for
+  /// appends. Also publishes the recovery summary. Only an incomplete or
+  /// CRC-failing frame at the WAL's end counts as torn: a snapshot or a
+  /// CRC-checked record that does not decode fails Open, and then no
+  /// file in the directory has changed.
   static Result<OpenResult> Open(FileEnv* env, const std::string& directory,
                                  const StorageOptions& options);
 

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "rel/schema.h"
 #include "rel/value.h"
 
@@ -81,16 +82,6 @@ Result<uint64_t> ByteReader::ReadU64() {
   return v;
 }
 
-Result<int64_t> ByteReader::ReadI64() {
-  GEA_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
-  return static_cast<int64_t>(v);
-}
-
-Result<double> ByteReader::ReadF64() {
-  GEA_ASSIGN_OR_RETURN(uint64_t bits, ReadU64());
-  return std::bit_cast<double>(bits);
-}
-
 Result<std::string> ByteReader::ReadString() {
   GEA_ASSIGN_OR_RETURN(uint32_t size, ReadU32());
   GEA_ASSIGN_OR_RETURN(std::string_view body, ReadBytes(size));
@@ -104,9 +95,60 @@ Result<std::string_view> ByteReader::ReadBytes(size_t n) {
   return out;
 }
 
+void PutStringMap(std::string* dst,
+                  const std::map<std::string, std::string>& map) {
+  PutU32(dst, static_cast<uint32_t>(map.size()));
+  for (const auto& [key, value] : map) {
+    PutString(dst, key);
+    PutString(dst, value);
+  }
+}
+
+Result<std::map<std::string, std::string>> ByteReader::ReadStringMap() {
+  GEA_ASSIGN_OR_RETURN(uint32_t count, ReadU32());
+  std::map<std::string, std::string> map;
+  for (uint32_t i = 0; i < count; ++i) {
+    GEA_ASSIGN_OR_RETURN(std::string key, ReadString());
+    GEA_ASSIGN_OR_RETURN(std::string value, ReadString());
+    // Keys ascend strictly, as PutStringMap writes them, so an accepted
+    // map re-encodes to the bytes it came from.
+    if (!map.empty() && !(map.rbegin()->first < key)) {
+      return Status::InvalidArgument(
+          "parameter key repeated or out of order: " + key);
+    }
+    map.emplace_hint(map.end(), std::move(key), std::move(value));
+  }
+  return map;
+}
+
+void PutFrame(std::string* dst, std::string_view body) {
+  PutU32(dst, static_cast<uint32_t>(body.size()));
+  PutU32(dst, Crc32(body));
+  dst->append(body);
+}
+
+uint32_t FrameBodyLength(std::string_view header) {
+  return LoadLE<uint32_t>(header.data());
+}
+
+Status CheckFrameBody(std::string_view header, std::string_view body) {
+  if (Crc32(body) != LoadLE<uint32_t>(header.data() + 4)) {
+    return Status::IoError("frame CRC mismatch (corrupt or torn frame)");
+  }
+  return Status::OK();
+}
+
+Result<std::string_view> ByteReader::ReadFrame() {
+  GEA_ASSIGN_OR_RETURN(std::string_view header, ReadBytes(kFrameHeaderBytes));
+  GEA_ASSIGN_OR_RETURN(std::string_view body,
+                       ReadBytes(FrameBodyLength(header)));
+  GEA_RETURN_IF_ERROR(CheckFrameBody(header, body));
+  return body;
+}
+
 namespace {
 
-// Cell and column type tags are indexes into kTagTypes. Distinct from
+// Column type tags are indexes into kTagTypes. Distinct from
 // rel::ValueType's numbering on purpose: the format is frozen here, the
 // enum is not.
 constexpr rel::ValueType kTagTypes[] = {
@@ -220,10 +262,10 @@ Result<std::vector<T>> ReadValues(ByteReader& reader, uint64_t count,
 }
 
 Result<rel::Table> DecodeColumns(ByteReader& reader) {
+  GEA_ASSIGN_OR_RETURN(uint32_t sentinel, reader.ReadU32());
   GEA_ASSIGN_OR_RETURN(uint8_t version, reader.ReadU8());
-  if (version != kColumnarVersion) {
-    return Status::InvalidArgument("unsupported columnar table version: " +
-                                   std::to_string(version));
+  if (sentinel != kColumnarSentinel || version != kColumnarVersion) {
+    return Status::InvalidArgument("not a columnar table encoding");
   }
   GEA_ASSIGN_OR_RETURN(DecodedSchema decoded, DecodeSchema(reader));
   GEA_ASSIGN_OR_RETURN(uint64_t rows, reader.ReadU64());
@@ -290,48 +332,6 @@ Result<rel::Table> DecodeColumns(ByteReader& reader) {
                                  std::move(columns), rows);
 }
 
-Result<rel::Table> DecodeRows(ByteReader& reader) {
-  GEA_ASSIGN_OR_RETURN(DecodedSchema decoded, DecodeSchema(reader));
-  GEA_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadU64());
-  const size_t num_columns = decoded.schema.NumColumns();
-  // Every cell takes at least its type tag byte; rows without cells are
-  // refused rather than counted out one by one.
-  if (num_rows > reader.remaining() / std::max<size_t>(num_columns, 1)) {
-    return Truncated("rows");
-  }
-  rel::Table table(std::move(decoded.name), std::move(decoded.schema));
-  for (uint64_t r = 0; r < num_rows; ++r) {
-    rel::Row row;
-    row.reserve(num_columns);
-    for (size_t c = 0; c < num_columns; ++c) {
-      GEA_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadU8());
-      GEA_ASSIGN_OR_RETURN(rel::ValueType type, ColumnTypeFromTag(tag));
-      switch (type) {
-        case rel::ValueType::kNull:
-          row.push_back(rel::Value::Null());
-          break;
-        case rel::ValueType::kInt: {
-          GEA_ASSIGN_OR_RETURN(int64_t v, reader.ReadI64());
-          row.push_back(rel::Value::Int(v));
-          break;
-        }
-        case rel::ValueType::kDouble: {
-          GEA_ASSIGN_OR_RETURN(double v, reader.ReadF64());
-          row.push_back(rel::Value::Double(v));
-          break;
-        }
-        case rel::ValueType::kString: {
-          GEA_ASSIGN_OR_RETURN(std::string v, reader.ReadString());
-          row.push_back(rel::Value::String(std::move(v)));
-          break;
-        }
-      }
-    }
-    GEA_RETURN_IF_ERROR(table.AppendRow(std::move(row)));
-  }
-  return table;
-}
-
 }  // namespace
 
 std::string EncodeTable(const rel::Table& table) {
@@ -369,11 +369,7 @@ std::string EncodeTable(const rel::Table& table) {
 
 Result<rel::Table> DecodeTable(std::string_view data) {
   ByteReader reader(data);
-  const bool columnar =
-      data.size() >= 4 && LoadLE<uint32_t>(data.data()) == kColumnarSentinel;
-  if (columnar) (void)reader.ReadU32();
-  GEA_ASSIGN_OR_RETURN(rel::Table table, columnar ? DecodeColumns(reader)
-                                                  : DecodeRows(reader));
+  GEA_ASSIGN_OR_RETURN(rel::Table table, DecodeColumns(reader));
   if (!reader.Done()) {
     return Status::InvalidArgument("trailing bytes after table encoding");
   }

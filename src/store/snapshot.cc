@@ -19,8 +19,6 @@ std::string EncodeSectionBody(const SnapshotSection& section) {
   PutString(&body, section.kind);
   PutString(&body, section.name);
   if (section.type == SnapshotSection::Type::kTable) {
-    // DecodeTable still reads the row layout, so older snapshot files
-    // stay loadable.
     PutString(&body, EncodeTable(*section.table));
   } else {
     PutString(&body, section.blob);
@@ -90,10 +88,7 @@ const SnapshotSection* SnapshotImage::Find(std::string_view kind,
 std::string EncodeSnapshot(const SnapshotImage& image) {
   std::string payload;
   for (const SnapshotSection& section : image.sections) {
-    std::string body = EncodeSectionBody(section);
-    PutU32(&payload, static_cast<uint32_t>(body.size()));
-    PutU32(&payload, Crc32(body));
-    payload += body;
+    PutFrame(&payload, EncodeSectionBody(section));
   }
 
   std::string out;
@@ -129,9 +124,9 @@ Result<SnapshotImage> DecodeSnapshot(std::string_view data) {
   if (data.size() - kHeaderBytes != payload_bytes) {
     return Status::InvalidArgument("snapshot payload length mismatch");
   }
-  // Every section takes at least its 8 framing bytes, so a count the
+  // Every section takes at least its frame header, so a count the
   // payload cannot hold is refused before anything is reserved for it.
-  if (section_count > payload_bytes / 8) {
+  if (section_count > payload_bytes / kFrameHeaderBytes) {
     return Status::InvalidArgument("snapshot section count " +
                                    std::to_string(section_count) +
                                    " exceeds its payload");
@@ -139,24 +134,13 @@ Result<SnapshotImage> DecodeSnapshot(std::string_view data) {
 
   SnapshotImage image;
   image.sections.reserve(section_count);
-  std::string_view payload = data.substr(kHeaderBytes);
-  size_t pos = 0;
+  ByteReader payload(data.substr(kHeaderBytes));
   for (uint32_t i = 0; i < section_count; ++i) {
-    ByteReader frame(payload.substr(pos));
-    GEA_ASSIGN_OR_RETURN(uint32_t body_len, frame.ReadU32());
-    GEA_ASSIGN_OR_RETURN(uint32_t body_crc, frame.ReadU32());
-    if (frame.remaining() < body_len) {
-      return Status::InvalidArgument("snapshot section truncated");
-    }
-    std::string_view body = payload.substr(pos + 8, body_len);
-    pos += 8 + body_len;
-    if (Crc32(body) != body_crc) {
-      return Status::InvalidArgument("snapshot section CRC mismatch");
-    }
+    GEA_ASSIGN_OR_RETURN(std::string_view body, payload.ReadFrame());
     GEA_ASSIGN_OR_RETURN(SnapshotSection section, DecodeSectionBody(body));
     image.sections.push_back(std::move(section));
   }
-  if (pos != payload.size()) {
+  if (!payload.Done()) {
     return Status::InvalidArgument("trailing bytes after snapshot sections");
   }
   return image;
@@ -194,7 +178,12 @@ Status WriteSnapshotFile(FileEnv* env, const std::string& path,
 
 Result<SnapshotImage> ReadSnapshotFile(FileEnv* env, const std::string& path) {
   GEA_ASSIGN_OR_RETURN(std::string data, env->ReadFileToString(path));
-  return DecodeSnapshot(data);
+  Result<SnapshotImage> image = DecodeSnapshot(data);
+  if (!image.ok()) {
+    return Status(image.status().code(),
+                  path + ": " + image.status().message());
+  }
+  return image;
 }
 
 }  // namespace gea::store

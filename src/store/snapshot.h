@@ -27,10 +27,8 @@ namespace gea::store {
 ///   u32 section count
 ///   u64 total payload bytes
 ///   u32 header CRC32            (over the 24 bytes above)
-///   per section:
-///     u32 body length
-///     u32 body CRC32
-///     body: u8 type tag, string kind, string name, string payload
+///   per section, one frame (format.h's PutFrame) whose body is
+///     u8 type tag, string kind, string name, string payload
 ///
 /// Publication is atomic: WriteSnapshotFile writes "<path>.tmp", fsyncs,
 /// renames over `path` and fsyncs the directory, so a reader sees either

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/crc32.h"
 #include "obs/metrics.h"
 #include "obs/request_trace.h"
 #include "obs/trace.h"
@@ -31,18 +30,12 @@ std::string EncodeWalRecord(const WalRecord& record) {
   std::string body;
   PutU8(&body, static_cast<uint8_t>(record.type));
   PutString(&body, record.op);
-  PutU32(&body, static_cast<uint32_t>(record.params.size()));
-  for (const auto& [key, value] : record.params) {
-    PutString(&body, key);
-    PutString(&body, value);
-  }
+  PutStringMap(&body, record.params);
   PutString(&body, record.payload);
 
   std::string framed;
-  framed.reserve(body.size() + 8);
-  PutU32(&framed, static_cast<uint32_t>(body.size()));
-  PutU32(&framed, Crc32(body));
-  framed += body;
+  framed.reserve(kFrameHeaderBytes + body.size());
+  PutFrame(&framed, body);
   return framed;
 }
 
@@ -65,12 +58,7 @@ Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
                                      std::to_string(type_tag));
   }
   GEA_ASSIGN_OR_RETURN(record.op, reader.ReadString());
-  GEA_ASSIGN_OR_RETURN(uint32_t param_count, reader.ReadU32());
-  for (uint32_t i = 0; i < param_count; ++i) {
-    GEA_ASSIGN_OR_RETURN(std::string key, reader.ReadString());
-    GEA_ASSIGN_OR_RETURN(std::string value, reader.ReadString());
-    record.params.emplace(std::move(key), std::move(value));
-  }
+  GEA_ASSIGN_OR_RETURN(record.params, reader.ReadStringMap());
   GEA_ASSIGN_OR_RETURN(record.payload, reader.ReadString());
   if (!reader.Done()) {
     return Status::InvalidArgument("trailing bytes in WAL record");
@@ -83,82 +71,28 @@ Result<WalReadResult> ReadWalFile(FileEnv* env, const std::string& path) {
   if (!env->FileExists(path)) return result;
   GEA_ASSIGN_OR_RETURN(std::string data, env->ReadFileToString(path));
 
-  size_t pos = 0;
-  while (pos < data.size()) {
-    ByteReader frame(std::string_view(data).substr(pos));
-    auto len = frame.ReadU32();
-    auto crc = frame.ReadU32();
-    if (!len.ok() || !crc.ok() || frame.remaining() < *len) {
-      result.torn_tail = true;  // partial frame from a crash mid-append
-      break;
-    }
-    std::string_view body = std::string_view(data).substr(pos + 8, *len);
-    if (Crc32(body) != *crc) {
-      result.torn_tail = true;  // torn or bit-rotted body
-      break;
-    }
-    auto record = DecodeWalRecordBody(body);
-    if (!record.ok()) {
+  ByteReader reader(data);
+  while (!reader.Done()) {
+    const size_t start = reader.position();
+    Result<std::string_view> body = reader.ReadFrame();
+    // Cut short, failing its CRC, or empty (no record is; zeros a crash
+    // left past the last write read as an empty frame whose CRC checks
+    // out): the tail of a crash mid-append.
+    if (!body.ok() || body->empty()) {
       result.torn_tail = true;
+      result.valid_bytes = start;
       break;
     }
-    result.records.push_back(std::move(*record));
-    pos += 8 + *len;
-  }
-  result.valid_bytes = pos;
-  result.dropped_bytes = data.size() - pos;
-  return result;
-}
-
-Result<std::unique_ptr<WalReader>> WalReader::Open(FileEnv* env,
-                                                   std::string path) {
-  return std::unique_ptr<WalReader>(new WalReader(env, std::move(path)));
-}
-
-Result<WalReader::TailResult> WalReader::Poll() {
-  TailResult result;
-  result.valid_bytes = offset_;
-  if (!env_->FileExists(path_)) {
-    // Not-yet-created log: an empty file, same as ReadWalFile. A log that
-    // existed before and vanished is a rotation; that case falls under
-    // the truncation check below once the file reappears shorter.
-    if (offset_ != 0) {
-      return Status::FailedPrecondition("WAL removed under tail reader: " +
-                                        path_);
+    Result<WalRecord> record = DecodeWalRecordBody(*body);
+    if (!record.ok()) {
+      return Status(record.status().code(),
+                    path + " at byte " + std::to_string(start) + ": " +
+                        record.status().message());
     }
-    return result;
-  }
-  GEA_ASSIGN_OR_RETURN(std::string data, env_->ReadFileToString(path_));
-  if (data.size() < offset_) {
-    // The log was truncated/rotated (checkpoint) past our position. The
-    // consumed prefix can no longer be mapped onto the file, so the
-    // caller must restart from a snapshot rather than keep tailing.
-    return Status::FailedPrecondition("WAL truncated under tail reader: " +
-                                      path_);
-  }
-
-  // Same frame walk as ReadWalFile, resumed at offset_. A frame that does
-  // not check out is left unconsumed — if the writer is mid-append it
-  // completes by a later Poll; if it is a crash artifact it stays pending
-  // forever and the caller decides.
-  size_t pos = offset_;
-  while (pos < data.size()) {
-    ByteReader frame(std::string_view(data).substr(pos));
-    auto len = frame.ReadU32();
-    auto crc = frame.ReadU32();
-    if (!len.ok() || !crc.ok() || frame.remaining() < *len) break;
-    std::string_view body = std::string_view(data).substr(pos + 8, *len);
-    if (Crc32(body) != *crc) break;
-    auto record = DecodeWalRecordBody(body);
-    if (!record.ok()) break;
     result.records.push_back(std::move(*record));
-    pos += 8 + *len;
+    result.valid_bytes = reader.position();
   }
-  offset_ = pos;
-  records_read_ += result.records.size();
-  result.valid_bytes = pos;
-  result.pending_bytes = data.size() - pos;
-  result.torn_tail = result.pending_bytes > 0;
+  result.dropped_bytes = data.size() - result.valid_bytes;
   return result;
 }
 

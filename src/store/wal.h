@@ -13,17 +13,17 @@
 
 namespace gea::store {
 
-/// Append-only write-ahead log. Each record is framed as
+/// Append-only write-ahead log. Each record is one frame (format.h's
+/// PutFrame: u32 body length, u32 body CRC32, body) whose body is
 ///
-///   u32 payload length
-///   u32 payload CRC32
-///   payload: u8 type tag, string op, u32 param count,
-///            (string key, string value)*, string payload blob
+///   u8 type tag, string op, parameter map (PutStringMap), string payload
 ///
-/// all little-endian (format.h primitives). Readers stop at the first
-/// frame whose length or CRC does not check out — everything before it
-/// is the durable prefix, everything after is a torn tail from a crash
-/// mid-append and is discarded by recovery.
+/// all little-endian. Readers stop at the first frame that is cut short,
+/// fails its CRC or is empty (zeros read as an empty frame, and no record
+/// is empty): everything before it is the durable prefix, everything from
+/// it on is a torn tail from a crash mid-append and is discarded by
+/// recovery. Any other frame was written whole, so a body that does not
+/// decode is an error, not a torn tail.
 ///
 /// Two record families share the format:
 ///   kLogicalOp — an operator invocation (mine/populate/aggregate/diff,
@@ -61,59 +61,8 @@ struct WalReadResult {
 
 /// Scans a log file, returning every intact record plus where the
 /// durable prefix ends. A missing file is an empty log, not an error;
-/// any other read failure is.
+/// any other read failure is, and so is a record that does not decode.
 Result<WalReadResult> ReadWalFile(FileEnv* env, const std::string& path);
-
-/// Incremental tail-follower over a WAL file — the streaming counterpart
-/// to the one-shot ReadWalFile scan, built for WAL shipping: a caller
-/// polls the file while a writer appends to it and receives every newly
-/// completed record exactly once, in append order.
-///
-/// The subtlety a follower must handle is the *torn final frame*: a poll
-/// that races a writer mid-append sees a partial frame (or one whose CRC
-/// does not yet check out). Unlike crash recovery, that frame is not
-/// garbage — the writer simply has not finished it — so Poll() leaves the
-/// read offset at the start of the incomplete frame and re-examines those
-/// bytes on the next call; once the append completes, the record is
-/// returned as if it had never been torn. Only the caller can know
-/// whether a persistent torn tail is a crash artifact (writer gone) or
-/// work in progress (writer alive).
-///
-/// At any point, `offset() + TailStatus.pending_bytes == file size`, and
-/// (valid, dropped) of a final Poll match ReadWalFile on the same file —
-/// a parity the tests pin down.
-class WalReader {
- public:
-  /// Opens a tail-follow over `path`. The file may not exist yet (an
-  /// empty log); it appears at whatever Poll() first observes it.
-  static Result<std::unique_ptr<WalReader>> Open(FileEnv* env,
-                                                 std::string path);
-
-  struct TailResult {
-    std::vector<WalRecord> records;  // newly completed since last Poll
-    uint64_t valid_bytes = 0;        // cumulative durable prefix length
-    uint64_t pending_bytes = 0;      // trailing bytes of an incomplete frame
-    bool torn_tail = false;          // true when pending_bytes > 0
-  };
-
-  /// Reads every record completed since the previous Poll. Never fails
-  /// on a torn tail (see class comment); only I/O errors are errors.
-  Result<TailResult> Poll();
-
-  /// Byte offset of the durable prefix consumed so far.
-  uint64_t offset() const { return offset_; }
-  /// Records returned across all Polls.
-  uint64_t records_read() const { return records_read_; }
-
- private:
-  WalReader(FileEnv* env, std::string path)
-      : env_(env), path_(std::move(path)) {}
-
-  FileEnv* env_;
-  std::string path_;
-  uint64_t offset_ = 0;
-  uint64_t records_read_ = 0;
-};
 
 /// Appender: every Append is one batch of records followed by one fsync,
 /// so a record is durable when its Append returns OK.

@@ -1,17 +1,14 @@
 // Property and round-trip tests for the table codec (store/format.h):
 // null-bitmap edge cases, dictionary-coded tag ids through snapshot and
 // wire transport, the canonical form (equal cells <=> equal bytes,
-// whatever operator built the table), decoder bounds on hostile counts,
-// and the checked-in row-layout snapshot fixture that must keep decoding
-// forever.
+// whatever operator built the table) and decoder bounds on hostile
+// counts.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -323,16 +320,7 @@ TEST(ColumnarCodecTest, BytesEqualExactlyWhenCellsEqual) {
 // ---- Decoder robustness ----
 
 TEST(ColumnarCodecTest, HostileCountsFailInsteadOfAllocating) {
-  // Row layout: an empty name, then a column count of 0xFFFFFFF0.
-  std::string row_layout;
-  PutString(&row_layout, "");
-  PutU32(&row_layout, 0xFFFFFFF0u);
-  PutU8(&row_layout, 0);
-  ASSERT_EQ(row_layout.size(), 9u);
-  EXPECT_FALSE(DecodeTable(row_layout).ok());
-
-  // Columnar: one string column, one row, then a dictionary size of
-  // 0xFFFFFFF0.
+  // One string column, one row, then a dictionary size of 0xFFFFFFF0.
   std::string columnar;
   PutU32(&columnar, 0xFFFFFFFFu);  // columnar sentinel
   PutU8(&columnar, 1);             // layout version
@@ -347,21 +335,20 @@ TEST(ColumnarCodecTest, HostileCountsFailInsteadOfAllocating) {
   ASSERT_EQ(columnar.size(), 40u);
   EXPECT_FALSE(DecodeTable(columnar).ok());
 
-  // Row counts the remaining bytes cannot hold, in both layouts.
+  // A row count the remaining bytes cannot hold.
   Table one("one", Schema({{"N", ValueType::kInt}}));
   ASSERT_TRUE(one.AppendRow({Value::Int(7)}).ok());
   std::string huge = EncodeTable(one);
   const size_t rows_at = huge.size() - 8 - 8 - 8;  // rows, bitmap, value
   for (int i = 0; i < 8; ++i) huge[rows_at + i] = i == 5 ? 1 : 0;  // 2^40
   EXPECT_FALSE(DecodeTable(huge).ok());
-  std::string huge_rows;
-  PutString(&huge_rows, "one");
-  PutU32(&huge_rows, 1);
-  PutString(&huge_rows, "N");
-  PutU8(&huge_rows, 1);  // int column
-  PutU64(&huge_rows, uint64_t{1} << 40);
-  PutU8(&huge_rows, 0);  // one NULL cell
-  EXPECT_FALSE(DecodeTable(huge_rows).ok());
+
+  // Any lead but the columnar sentinel: the retired row layout is refused.
+  std::string row_layout;
+  PutString(&row_layout, "one");
+  PutU32(&row_layout, 0);
+  PutU64(&row_layout, 0);
+  EXPECT_FALSE(DecodeTable(row_layout).ok());
 }
 
 TEST(ColumnarCodecTest, NonCanonicalInputDecodesCanonicallyOrFails) {
@@ -386,105 +373,6 @@ TEST(ColumnarCodecTest, NonCanonicalInputDecodesCanonicallyOrFails) {
   std::string repeated = encoded;
   repeated[codes_at - 1] = 'a';
   EXPECT_FALSE(DecodeTable(repeated).ok());
-}
-
-// ---- Row-layout snapshot compatibility ----
-
-std::string ReadFixture() {
-  std::ifstream in(std::string(GEA_TESTDATA_DIR) +
-                       "/snapshot_pr4_rowformat.bin",
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << "fixture file missing";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-TEST(Pr4CompatTest, RowFormatSnapshotFixtureStillDecodes) {
-  const std::string bytes = ReadFixture();
-  ASSERT_FALSE(bytes.empty());
-  Result<SnapshotImage> image = DecodeSnapshot(bytes);
-  ASSERT_TRUE(image.ok()) << image.status().ToString();
-  ASSERT_EQ(image->sections.size(), 3u);
-
-  const SnapshotSection* expr = image->Find("table", "expression");
-  ASSERT_NE(expr, nullptr);
-  ASSERT_TRUE(expr->table.has_value());
-  const Table& t = *expr->table;
-  ASSERT_EQ(t.NumRows(), 5u);
-  ASSERT_EQ(t.NumColumns(), 4u);
-  EXPECT_EQ(t.schema().column(0).name, "TagName");
-  EXPECT_EQ(t.Get(0, "TagName")->AsString(), "AATCGG");
-  EXPECT_EQ(t.Get(0, "TagNo")->AsInt(), 7);
-  EXPECT_DOUBLE_EQ(t.Get(0, "Mean")->AsDouble(), 1.5);
-  EXPECT_EQ(t.Get(0, "Note")->AsString(), "liver");
-  EXPECT_DOUBLE_EQ(t.Get(1, "Mean")->AsDouble(), -0.25);
-  EXPECT_TRUE(t.At(1, 3).is_null());
-  EXPECT_TRUE(t.At(2, 2).is_null());
-  for (size_t c = 0; c < 4; ++c) EXPECT_TRUE(t.At(3, c).is_null());
-  EXPECT_EQ(t.Get(4, "TagNo")->AsInt(), -3);
-  // "AATCGG" appears twice but interns once: the dictionary holds exactly
-  // the distinct non-null strings.
-  EXPECT_EQ(t.column(0).dict().size(), 3u);
-
-  const SnapshotSection* empty = image->Find("table", "empty_rows");
-  ASSERT_NE(empty, nullptr);
-  ASSERT_TRUE(empty->table.has_value());
-  EXPECT_EQ(empty->table->NumRows(), 0u);
-  EXPECT_EQ(empty->table->NumColumns(), 1u);
-
-  const SnapshotSection* blob = image->Find("wal_meta", "meta");
-  ASSERT_NE(blob, nullptr);
-  EXPECT_EQ(blob->type, SnapshotSection::Type::kBlob);
-  EXPECT_EQ(blob->blob, "pr4-fixture-blob");
-}
-
-TEST(Pr4CompatTest, RowFormatPayloadsReencodeByteIdentically) {
-  // Walk the snapshot framing by hand to reach the raw section payloads:
-  // header (magic, u32 version, u32 count, u64 payload bytes, u32 crc),
-  // then per section u32 length + u32 crc + body, body = u8 type,
-  // string kind, string name, string payload.
-  const std::string bytes = ReadFixture();
-  const std::string_view view(bytes);
-  ASSERT_GE(bytes.size(), 28u);
-  ByteReader header(view.substr(8, 20));  // skip magic
-  ASSERT_EQ(*header.ReadU32(), kSnapshotVersion);
-  const uint32_t sections = *header.ReadU32();
-  (void)*header.ReadU64();  // payload byte count
-  (void)*header.ReadU32();  // header crc
-  size_t offset = 28;
-  size_t tables_checked = 0;
-  for (uint32_t s = 0; s < sections; ++s) {
-    ByteReader frame(view.substr(offset, 8));
-    const uint32_t body_len = *frame.ReadU32();
-    (void)*frame.ReadU32();  // body crc
-    offset += 8;
-    ASSERT_LE(offset + body_len, bytes.size());
-    ByteReader section(view.substr(offset, body_len));
-    offset += body_len;
-    const uint8_t type = *section.ReadU8();
-    (void)*section.ReadString();  // kind
-    (void)*section.ReadString();  // name
-    const std::string payload = *section.ReadString();
-    if (type == static_cast<uint8_t>(SnapshotSection::Type::kTable)) {
-      // The fixture predates the columnar sentinel.
-      ByteReader lead(payload);
-      EXPECT_NE(*lead.ReadU32(), 0xFFFFFFFFu);
-      Result<rel::Table> decoded = DecodeTable(payload);
-      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      // Nothing about a decoded row-layout table is lossy: it re-encodes
-      // canonically, decodes back to the same cells, and re-encodes to
-      // the same bytes again.
-      const std::string canonical = EncodeTable(*decoded);
-      Result<rel::Table> again = DecodeTable(canonical);
-      ASSERT_TRUE(again.ok()) << again.status().ToString();
-      EXPECT_TRUE(SameCells(*again, *decoded));
-      EXPECT_EQ(EncodeTable(*again), canonical);
-      ++tables_checked;
-    }
-  }
-  EXPECT_EQ(offset, bytes.size());
-  EXPECT_EQ(tables_checked, 2u);
 }
 
 }  // namespace

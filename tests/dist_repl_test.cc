@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "dist/partition.h"
 #include "dist/repl.h"
@@ -100,6 +101,19 @@ TEST(PartitionTest, SlicesAreADisjointCoverWithEveryLibraryPresent) {
 
 // ---------- blob codecs ----------
 
+// The batch's blob, each record in its WAL framing.
+std::string EncodeBatch(const FrameBatch& batch) {
+  std::vector<std::string> framed;
+  for (const ShippedFrame& frame : batch.frames) {
+    framed.push_back(store::EncodeWalRecord(frame.record));
+  }
+  std::vector<EncodedFrame> frames;
+  for (size_t i = 0; i < framed.size(); ++i) {
+    frames.push_back({batch.frames[i].lsn, framed[i]});
+  }
+  return EncodeFrameBatch(batch.durable_lsn, frames);
+}
+
 TEST(ReplCodecTest, FrameBatchRoundTrips) {
   FrameBatch batch;
   batch.durable_lsn = 42;
@@ -110,7 +124,7 @@ TEST(ReplCodecTest, FrameBatchRoundTrips) {
       {8, store::WalRecord::BlobRecord("load_dataset",
                                        std::string("bin\0ary", 7))});
 
-  Result<FrameBatch> decoded = DecodeFrameBatch(EncodeFrameBatch(batch));
+  Result<FrameBatch> decoded = DecodeFrameBatch(EncodeBatch(batch));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->durable_lsn, 42u);
   ASSERT_EQ(decoded->frames.size(), 2u);
@@ -126,10 +140,18 @@ TEST(ReplCodecTest, CorruptFrameBatchIsRejectedByTheCrc) {
   batch.durable_lsn = 1;
   batch.frames.push_back(
       {1, store::WalRecord::LogicalOp("diff", {{"gap", "g"}})});
-  std::string blob = EncodeFrameBatch(batch);
+  std::string blob = EncodeBatch(batch);
   blob[blob.size() / 2] ^= 0x40;  // flip a bit inside the framed record
   EXPECT_FALSE(DecodeFrameBatch(blob).ok());
   EXPECT_FALSE(DecodeFrameBatch(blob + "x").ok());  // trailing bytes too
+
+  // A 12-byte blob claiming 2^32-1 frames: an error, not a reservation
+  // sized by the count.
+  std::string hostile;
+  store::PutU64(&hostile, 1);
+  store::PutU32(&hostile, 0xFFFFFFFFu);
+  ASSERT_EQ(hostile.size(), 12u);
+  EXPECT_NO_THROW(EXPECT_FALSE(DecodeFrameBatch(hostile).ok()));
 }
 
 TEST(ReplCodecTest, SnapshotLsnBlobRoundTrips) {

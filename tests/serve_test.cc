@@ -84,6 +84,34 @@ TEST(ProtocolTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeResponse("").ok());
 }
 
+TEST(ProtocolTest, RequestParamsMustBeUniqueAndOrdered) {
+  // A hand-built "aggregate" request whose parameter pairs are written in
+  // the order given.
+  auto payload = [](std::vector<std::pair<std::string, std::string>> params) {
+    std::string out;
+    store::PutU8(&out, kProtocolVersion);
+    store::PutU64(&out, 1);  // request id
+    store::PutU32(&out, 0);  // deadline
+    store::PutString(&out, "aggregate");
+    store::PutU32(&out, static_cast<uint32_t>(params.size()));
+    for (const auto& [key, value] : params) {
+      store::PutString(&out, key);
+      store::PutString(&out, value);
+    }
+    store::PutU8(&out, 0);  // no trace context
+    return out;
+  };
+  Result<Request> ordered =
+      DecodeRequest(payload({{"enum", "brain"}, {"out", "S"}}));
+  ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+  EXPECT_EQ(EncodeRequest(*ordered),
+            payload({{"enum", "brain"}, {"out", "S"}}));
+  // A repeated key or keys out of order would leave the value, and the
+  // bytes a request re-encodes to, up to the decoder: refused.
+  EXPECT_FALSE(DecodeRequest(payload({{"out", "S"}, {"out", "T"}})).ok());
+  EXPECT_FALSE(DecodeRequest(payload({{"out", "S"}, {"enum", "brain"}})).ok());
+}
+
 TEST(ProtocolTest, DecodersAcceptOnlyTheProtocolVersion) {
   std::string request = EncodeRequest(Request{});
   std::string response = EncodeResponse(Response{});

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,8 +76,8 @@ TEST(FormatTest, PrimitivesRoundTrip) {
   EXPECT_EQ(*reader.ReadU8(), 0xAB);
   EXPECT_EQ(*reader.ReadU32(), 0xDEADBEEFu);
   EXPECT_EQ(*reader.ReadU64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(*reader.ReadI64(), -42);
-  EXPECT_DOUBLE_EQ(*reader.ReadF64(), 3.14159);
+  EXPECT_EQ(static_cast<int64_t>(*reader.ReadU64()), -42);
+  EXPECT_DOUBLE_EQ(std::bit_cast<double>(*reader.ReadU64()), 3.14159);
   EXPECT_EQ(*reader.ReadString(), "hello");
   EXPECT_EQ(*reader.ReadString(), std::string("a\0b", 3));
   EXPECT_TRUE(reader.Done());
@@ -160,22 +161,10 @@ TEST(SnapshotTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->Find("relation", "nope"), nullptr);
 }
 
-TEST(SnapshotTest, DecodeRejectsEveryCorruption) {
-  std::string encoded = EncodeSnapshot(SampleImage());
-  ASSERT_TRUE(DecodeSnapshot(encoded).ok());
-
-  // Any single flipped byte breaks the magic, a CRC, or a length check.
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    std::string bad = encoded;
-    bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    EXPECT_FALSE(DecodeSnapshot(bad).ok()) << "flip at byte " << i;
-  }
-  // Truncation at any point is rejected too.
-  for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    EXPECT_FALSE(
-        DecodeSnapshot(std::string_view(encoded).substr(0, cut)).ok());
-  }
-  EXPECT_FALSE(DecodeSnapshot(encoded + "tail").ok());
+// Flips and truncations of every frame user, snapshots included, are
+// in decoder_mutation_test.
+TEST(SnapshotTest, HostileSectionCountIsRefused) {
+  EXPECT_FALSE(DecodeSnapshot(EncodeSnapshot(SampleImage()) + "tail").ok());
   // A valid 28-byte header claiming 2^32-1 sections over an empty
   // payload: an error, not a reservation sized by the count.
   std::string header("GEASNAP1", 8);
@@ -303,6 +292,40 @@ TEST(WalTest, TornTailAtEveryByteKeepsDurablePrefix) {
   EXPECT_EQ(read->records.size(), 1u);
   EXPECT_TRUE(read->torn_tail);
   EXPECT_EQ(read->valid_bytes, frames[0].size());
+  EXPECT_EQ(read->dropped_bytes, full.size() - frames[0].size());
+
+  // A crash can leave zeros past the last write. They read as an empty
+  // frame whose CRC checks out, but no record is empty: a torn tail.
+  WriteAll(path, frames[0] + std::string(16, '\0'));
+  read = ReadWalFile(env, path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->records.size(), 1u);
+  EXPECT_TRUE(read->torn_tail);
+  EXPECT_EQ(read->dropped_bytes, 16u);
+}
+
+TEST(WalTest, RecordBodyRefusesRepeatedAndUnorderedParams) {
+  // Hand-built bodies: a logical op "op" whose parameter pairs are
+  // written in the order given.
+  auto body = [](std::vector<std::pair<std::string, std::string>> params) {
+    std::string out;
+    PutU8(&out, static_cast<uint8_t>(WalRecord::Type::kLogicalOp));
+    PutString(&out, "op");
+    PutU32(&out, static_cast<uint32_t>(params.size()));
+    for (const auto& [key, value] : params) {
+      PutString(&out, key);
+      PutString(&out, value);
+    }
+    PutString(&out, "");
+    return out;
+  };
+  Result<WalRecord> ordered =
+      DecodeWalRecordBody(body({{"a", "1"}, {"out", "x"}}));
+  ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+  EXPECT_EQ(EncodeWalRecord(*ordered).substr(kFrameHeaderBytes),
+            body({{"a", "1"}, {"out", "x"}}));
+  EXPECT_FALSE(DecodeWalRecordBody(body({{"out", "x"}, {"out", "y"}})).ok());
+  EXPECT_FALSE(DecodeWalRecordBody(body({{"out", "x"}, {"a", "1"}})).ok());
 }
 
 // ---------- storage engine ----------
@@ -430,6 +453,84 @@ TEST(EngineTest, TornWalTailIsTruncatedOnDisk) {
   ASSERT_TRUE(open->engine->Close().ok());
   // The torn bytes are gone from disk, not just skipped.
   EXPECT_EQ(ReadAll(wal_path).size(), intact.size());
+}
+
+// Every file in `dir`, by name, with its bytes.
+std::map<std::string, std::string> DirectoryFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = ReadAll(entry.path().string());
+  }
+  return files;
+}
+
+// Open must fail on `dir` with an error that names `culprit`, and leave
+// every file as it found it.
+void ExpectOpenFailsAndKeepsFiles(const std::string& dir,
+                                  const std::string& culprit) {
+  const std::map<std::string, std::string> before = DirectoryFiles(dir);
+  Result<StorageEngine::OpenResult> open =
+      StorageEngine::Open(FileEnv::Default(), dir, {});
+  ASSERT_FALSE(open.ok()) << "opened at generation "
+                          << open->engine->generation() << " with "
+                          << open->records.size() << " records";
+  EXPECT_NE(open.status().message().find(culprit), std::string::npos)
+      << open.status().ToString();
+  EXPECT_EQ(DirectoryFiles(dir), before);
+}
+
+TEST(EngineTest, UndecodableCommittedSnapshotFailsOpenAndKeepsFiles) {
+  std::string dir = FreshDir("engine_bad_snap");
+  {
+    Result<StorageEngine::OpenResult> open =
+        StorageEngine::Open(FileEnv::Default(), dir, {});
+    ASSERT_TRUE(open.ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(Commit(*open->engine, SampleOp(i)).ok());
+    }
+    ASSERT_TRUE(open->engine->Checkpoint(SampleImage()).ok());
+    for (int i = 3; i < 5; ++i) {
+      ASSERT_TRUE(Commit(*open->engine, SampleOp(i)).ok());
+    }
+    ASSERT_TRUE(open->engine->Close().ok());
+  }
+  std::string snapshot = ReadAll(dir + "/snap-1.gea");
+  snapshot[40] ^= 0x01;  // inside the first section's body
+  WriteAll(dir + "/snap-1.gea", snapshot);
+  ExpectOpenFailsAndKeepsFiles(dir, "snap-1.gea");
+}
+
+TEST(EngineTest, UndecodableWalRecordFailsOpenAndKeepsFiles) {
+  std::string dir = FreshDir("engine_bad_record");
+  {
+    Result<StorageEngine::OpenResult> open =
+        StorageEngine::Open(FileEnv::Default(), dir, {});
+    ASSERT_TRUE(open.ok());
+    ASSERT_TRUE(open->engine->Close().ok());
+  }
+  // The middle record names record type 9 under a CRC that checks out.
+  std::string body = EncodeWalRecord(SampleOp(1)).substr(8);
+  body[0] = 9;
+  std::string log = EncodeWalRecord(SampleOp(0));
+  PutFrame(&log, body);
+  log += EncodeWalRecord(SampleOp(2));
+  WriteAll(dir + "/wal-0.log", log);
+  ExpectOpenFailsAndKeepsFiles(
+      dir, "wal-0.log at byte " +
+               std::to_string(EncodeWalRecord(SampleOp(0)).size()));
+}
+
+// No code writes the row table layout any more: a snapshot in it (the
+// checked-in fixture) fails Open instead of being swept as a leftover.
+TEST(EngineTest, RowLayoutSnapshotFailsOpenAndKeepsFiles) {
+  const std::string fixture =
+      ReadAll(std::string(GEA_TESTDATA_DIR) + "/snapshot_pr4_rowformat.bin");
+  ASSERT_FALSE(fixture.empty()) << "fixture file missing";
+  std::string dir = FreshDir("engine_row_layout");
+  ASSERT_TRUE(FileEnv::Default()->CreateDirs(dir).ok());
+  WriteAll(dir + "/snap-1.gea", fixture);
+  WriteAll(dir + "/CURRENT", "1\n");
+  ExpectOpenFailsAndKeepsFiles(dir, "snap-1.gea");
 }
 
 TEST(EngineTest, StaleTmpFilesAreSweptOnOpen) {
